@@ -178,7 +178,7 @@ def _cmd_expand(args) -> tuple[dict[str, str], int]:
     text, digest = _read(args.file)
     M = load_table(text)
     g = _parse_map(M, args.gens)
-    E = build_expansion(M, g, args.n, jobs=args.jobs)
+    E = build_expansion(M, g, args.n)
     aper, witness = check_eta_aperiodic(E)
     fibers = [(e, len(E.fiber(e))) for e in sorted(set(E.eta))]
     fields = {
@@ -327,10 +327,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("human", "machine"), default="human",
                         help="output rendering (default human)")
-    common.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized generation (default MONO_SEED or 0)")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="worker threads for expansion builds")
     p = argparse.ArgumentParser(
         prog="mono", description="finite monoid workbench")
     sub = p.add_subparsers(dest="command", required=True)

@@ -9,9 +9,8 @@ map eta is a morphism onto the generated submonoid.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 from .monoid import (CapExceeded, FiniteMonoid, GeneratorMap, InputError,
                      configured_cap)
@@ -74,13 +73,6 @@ def word_profile(M: FiniteMonoid, g: GeneratorMap, w: str, n: int) -> CutProfile
     return acc
 
 
-def _tuple_image(M: FiniteMonoid, t: tuple[int, ...]) -> int:
-    acc = M.identity
-    for x in t:
-        acc = M.table[acc][x]
-    return acc
-
-
 @dataclass(frozen=True)
 class ExpandedMonoid:
     """The monoid of reachable cut profiles, with the projection eta onto
@@ -123,43 +115,46 @@ def build_expansion(
     g: GeneratorMap,
     n: int,
     cap: int | None = None,
-    jobs: int = 1,
 ) -> ExpandedMonoid:
     """Breadth-first closure of the identity and letter profiles under
     profile products.
 
     Numbering is canonical: each generation of newly reached profiles is
-    sorted by encoding before numbering, so the result is independent of
-    scheduling; representatives are shortlex-least words.  A non-generating
-    map is fine: the result is the expansion of the generated submonoid.
+    sorted by encoding before numbering; representatives are
+    shortlex-least words.  A non-generating map is fine: the result is the
+    expansion of the generated submonoid.
+
+    The search records the right Cayley graph (``right[k][i]`` is the
+    index of profile i times letter k) and, for each profile, the
+    (parent, letter) step of its representative.  Profile equality is a
+    congruence, so the table follows without further profile products:
+    ``p * q = (p * parent(q)) * letter(q)``, and ``parent(q) < q``
+    (Froidure & Pin, "Algorithms for computing finite semigroups", 1997).
     """
     if n < 1:
         raise InputError("arity must be >= 1")
     cap = configured_cap(DEFAULT_PROFILE_CAP) if cap is None else cap
     ident = identity_profile(M, n)
-    letters = [(a, letter_profile(M, g, a, n)) for a in g.alphabet]
+    letters = [letter_profile(M, g, a, n) for a in g.alphabet]
     profiles = [ident]
     words = [""]
+    parent = [0]
+    last = [0]
+    right: list[list[int]] = [[] for _ in letters]
     index: dict[CutProfile, int] = {ident: 0}
     frontier = [0]
     while frontier:
-        def expand(i: int):
-            return [(a, profile_product(M, n, profiles[i], lp)) for a, lp in letters]
-
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                batches = list(pool.map(expand, frontier))
-        else:
-            batches = [expand(i) for i in frontier]
-        found: dict[CutProfile, str] = {}
+        batches = [[profile_product(M, n, profiles[i], lp) for lp in letters]
+                   for i in frontier]
+        found: dict[CutProfile, tuple[str, int, int]] = {}
         for i, batch in zip(frontier, batches):
-            for a, q in batch:
+            for k, q in enumerate(batch):
                 if q in index:
                     continue
-                cand = words[i] + a
+                cand = words[i] + g.alphabet[k]
                 prev = found.get(q)
-                if prev is None or cand < prev:
-                    found[q] = cand
+                if prev is None or cand < prev[0]:
+                    found[q] = (cand, i, k)
         new = sorted(found, key=lambda p: p.tuples)
         for q in new:
             if len(profiles) >= cap:
@@ -167,24 +162,28 @@ def build_expansion(
                     f"expansion exceeded cap of {cap} profiles", len(profiles))
             index[q] = len(profiles)
             profiles.append(q)
-            words.append(found[q])
+            w, i, k = found[q]
+            words.append(w)
+            parent.append(i)
+            last.append(k)
+        # the frontier is the block of indices numbered last, in order, so
+        # each right[k] grows in index order
+        for batch in batches:
+            for k, q in enumerate(batch):
+                right[k].append(index[q])
         frontier = [index[q] for q in new]
 
     eta = []
     for p in profiles:
-        vals = {_tuple_image(M, t) for t in p.tuples}
+        vals = {reduce(M.mul, t, M.identity) for t in p.tuples}
         assert len(vals) == 1  # every tuple of a profile multiplies to one image
         eta.append(vals.pop())
-    table = []
-    for p in profiles:
-        row = []
-        for q in profiles:
-            r = profile_product(M, n, p, q)
-            k = index.get(r)
-            assert k is not None, "profiles are not closed under product"
-            row.append(k)
-        table.append(tuple(row))
-    return ExpandedMonoid(M, g, n, tuple(profiles), tuple(table),
+    # columns[q][p] = p * q, so each column is one lookup per row
+    columns = [range(len(profiles))]
+    for q in range(1, len(profiles)):
+        columns.append(list(map(right[last[q]].__getitem__, columns[parent[q]])))
+    table = tuple(zip(*columns))
+    return ExpandedMonoid(M, g, n, tuple(profiles), table,
                           tuple(eta), tuple(words))
 
 

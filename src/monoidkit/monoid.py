@@ -28,9 +28,19 @@ class CapExceeded(RuntimeError):
 
 
 def configured_cap(default: int) -> int:
-    """Default element/state cap, overridable via MONO_CAP."""
+    """Default element/state cap, overridable via MONO_CAP (a positive
+    integer)."""
     raw = os.environ.get("MONO_CAP")
-    return int(raw) if raw else default
+    if not raw:
+        return default
+    bad = InputError(f"MONO_CAP must be a positive integer, got {raw!r}")
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise bad from None
+    if cap < 1:
+        raise bad
+    return cap
 
 
 def _check_name(name: str) -> None:

@@ -185,10 +185,20 @@ def test_refinement_input_errors(cat):
         check_refinement(build_expansion(Ma, ga, 3), build_expansion(Ma, ga, 1))
 
 
-def test_parallel_build_is_identical(cat):
-    for name in ("n3", "flipflop"):
+def product_table(E):
+    """The table by brute force: one profile product per pair of profiles."""
+    return tuple(
+        tuple(E.index[profile_product(E.base, E.n, p, q)] for q in E.profiles)
+        for p in E.profiles)
+
+
+def test_table_matches_profile_product_oracle(cat):
+    cases = [(name, n) for name in cat for n in (1, 2, 3)]
+    cases += [("z3", 4), ("n3", 4), ("flipflop", 4)]
+    for name, n in cases:
         M, g = cat[name]
-        assert build_expansion(M, g, 2, jobs=4) == build_expansion(M, g, 2)
+        E = build_expansion(M, g, n)
+        assert E.table == product_table(E), (name, n)
 
 
 def test_word_profile_equals_cut(cat):

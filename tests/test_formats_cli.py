@@ -1,4 +1,6 @@
 import hashlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,7 @@ from monoidkit.catalog import b21, flipflop, n3, t2, trivial, z2, z3
 from monoidkit.cli import cli_dispatch
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
+SRCDIR = Path(__file__).resolve().parent.parent / "src"
 
 
 def digest(path: Path) -> str:
@@ -352,6 +355,30 @@ def test_cli_input_errors_exit_2(tmp_path, capsys):
     assert code == 2
     code, _, err = run(["nonsense"], capsys)
     assert code == 2
+
+
+def test_cli_bad_mono_cap_exits_2(monkeypatch, capsys):
+    argv = ["expand", FIXDIR / "Z2.mon", "-n", "2", "--gens", "a=g"]
+    for raw in ("abc", "0"):
+        monkeypatch.setenv("MONO_CAP", raw)
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: MONO_CAP must be a positive integer, got {raw!r}\n"
+
+
+def test_cli_removed_flags_are_rejected(capsys):
+    for flag in ("--jobs", "--seed"):
+        code, out, err = run(["info", FIXDIR / "N3.mon", flag, "2"], capsys)
+        assert code == 2 and out == ""
+        assert f"unrecognized arguments: {flag} 2" in err
+
+
+def test_cli_import_loads_no_thread_machinery():
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import monoidkit.cli; "
+             "print(sorted({'concurrent.futures', 'threading'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", probe, str(SRCDIR)],
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 def test_cli_shadow_flag_validation(capsys):

@@ -4,6 +4,7 @@ from monoidkit import (CapExceeded, InputError, generate_from_transformations,
                        generator_map, greens, is_aperiodic, is_group_element,
                        is_regular, load_table)
 from monoidkit.catalog import b21, flipflop, n3, t2, trivial, z2, z3
+from monoidkit.monoid import configured_cap
 
 
 def test_load_trivial():
@@ -90,6 +91,13 @@ def test_mono_cap_env_is_honored(monkeypatch):
     monkeypatch.setenv("MONO_CAP", "2")
     with pytest.raises(CapExceeded):
         generate_from_transformations(2, {"s": (0, 0), "r": (1, 1)})
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-3", "1.5"])
+def test_mono_cap_env_rejects_non_positive_integers(monkeypatch, raw):
+    monkeypatch.setenv("MONO_CAP", raw)
+    with pytest.raises(InputError, match="MONO_CAP"):
+        configured_cap(512)
 
 
 def test_multiply_and_power_examples():
