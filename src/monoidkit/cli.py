@@ -50,7 +50,11 @@ def _digest(data: bytes) -> str:
 
 def _read(path: str) -> tuple[str, str]:
     data = Path(path).read_bytes()
-    return data.decode("utf-8"), _digest(data)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
+    return text, _digest(data)
 
 
 def _bool(b: bool) -> str:
@@ -411,10 +415,7 @@ def cli_dispatch(argv) -> int:
     t0 = time.perf_counter()
     try:
         fields, code = args.handler(args)
-    except (InputError, CapExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InputError, CapExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     elapsed = (time.perf_counter() - t0) * 1000

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import Iterable, Mapping, Sequence
 
 DEFAULT_ELEMENT_CAP = 512
@@ -71,9 +71,13 @@ class FiniteMonoid:
     def power(self, x: int, k: int) -> int:
         if k < 0:
             raise InputError("negative exponent")
+        t = self.table
         acc = self.identity
-        for _ in range(k):
-            acc = self.table[acc][x]
+        while k:
+            if k & 1:
+                acc = t[acc][x]
+            x = t[x][x]
+            k >>= 1
         return acc
 
     def omega_power(self, x: int) -> int:
@@ -249,15 +253,17 @@ def _classify(keys) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     return tuple(class_of), tuple(tuple(c) for c in classes)
 
 
-@lru_cache(maxsize=None)
 def greens(M: FiniteMonoid) -> GreensData:
-    """Green's relations from the defining ideals xM, Mx, MxM."""
+    """Green's relations from the defining ideals xM, Mx, MxM; MxM is the
+    union of the left ideals Mr over r in xM."""
     n = M.order
     t = M.table
     rng = range(n)
     r_ideal = [frozenset(t[x]) for x in rng]
     l_ideal = [frozenset(t[y][x] for y in rng) for x in rng]
-    j_ideal = [frozenset(t[t[u][x]][v] for u in rng for v in rng) for x in rng]
+    # A set of left ideals, so each distinct one is merged once: merging
+    # all |xM| of them leaves the frozensets' tables half empty (T4: +1 MB).
+    j_ideal = [frozenset().union(*{l_ideal[r] for r in r_ideal[x]}) for x in rng]
     r_of, r_classes = _classify(r_ideal)
     l_of, l_classes = _classify(l_ideal)
     j_of, j_classes = _classify(j_ideal)
@@ -269,41 +275,31 @@ def greens(M: FiniteMonoid) -> GreensData:
 
 
 def is_regular(M: FiniteMonoid, a: int) -> tuple[bool, int | None]:
-    """Least b with a*b*a == a; cross-checked against the classical
-    idempotent-in-the-R-class criterion."""
+    """Least b with a*b*a == a."""
     t = M.table
     witness = None
     for b in range(M.order):
         if t[t[a][b]][a] == a:
             witness = b
             break
-    gd = greens(M)
-    via_r = any(M.is_idempotent(e) and gd.r_class[e] == gd.r_class[a]
-                for e in range(M.order))
-    assert (witness is not None) == via_r
     return witness is not None, witness
 
 
 def is_aperiodic(M: FiniteMonoid) -> tuple[bool, int | None]:
-    """x^omega == x^omega * x for every x; cross-checked against H triviality."""
+    """x^omega == x^omega * x for every x."""
     bad = None
     for a in range(M.order):
         w = M.omega_power(a)
         if M.table[w][a] != w:
             bad = a
             break
-    h_trivial = all(len(c) == 1 for c in greens(M).h_classes)
-    assert (bad is None) == h_trivial
     return bad is None, bad
 
 
 def is_group_element(M: FiniteMonoid, a: int) -> bool:
     """a lies in the maximal subgroup of its H-class, i.e. a == a^omega * a."""
     w = M.omega_power(a)
-    ok = M.table[w][a] == a
-    gd = greens(M)
-    assert ok == (gd.h_class[a] == gd.h_class[w])
-    return ok
+    return M.table[w][a] == a
 
 
 def ideal_generated(M: FiniteMonoid, gens: Iterable[int]) -> tuple[int, ...]:
@@ -324,12 +320,13 @@ def ideal_product(M: FiniteMonoid, I: Iterable[int], J: Iterable[int]) -> tuple[
 
 
 def is_ideal(M: FiniteMonoid, S: Iterable[int]) -> bool:
+    """Non-empty and closed under multiplication on either side; with an
+    identity this is the same as closure under x*a*y."""
     s = set(S)
     if not s:
         return False
     t = M.table
-    rng = range(M.order)
-    return all(t[t[x][a]][y] in s for a in s for x in rng for y in rng)
+    return all(t[x][a] in s and t[a][x] in s for a in s for x in range(M.order))
 
 
 def _require_ideal(M: FiniteMonoid, S: Iterable[int]) -> set[int]:

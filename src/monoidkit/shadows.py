@@ -41,6 +41,11 @@ class OmegaPower:
 
 OmegaTerm = Letter | Concat | Power | OmegaPower
 
+# Parentheses nest at most this deep.  Each level costs the parser three
+# stack frames (expr, factor, atom), and evaluate and term_text recurse once
+# per level, so this stays far below the interpreter's recursion limit.
+MAX_TERM_DEPTH = 100
+
 
 class _Parser:
     """Recursive descent for: expr := factor+; factor := atom ['^' (int|'w')];
@@ -49,6 +54,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def error(self, msg: str):
         raise InputError(f"term syntax error at position {self.pos}: {msg}")
@@ -98,11 +104,15 @@ class _Parser:
         if ch is None:
             self.error("unexpected end of input")
         if ch == "(":
+            if self.depth == MAX_TERM_DEPTH:
+                self.error(f"parentheses nested deeper than {MAX_TERM_DEPTH}")
+            self.depth += 1
             self.pos += 1
             t = self.expr()
             if self.peek() != ")":
                 self.error("expected )")
             self.pos += 1
+            self.depth -= 1
             return t
         if ch in ")^" or ch.isdigit():
             self.error(f"unexpected {ch!r}")

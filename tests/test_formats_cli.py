@@ -347,6 +347,11 @@ def test_cli_input_errors_exit_2(tmp_path, capsys):
     bad.write_text("elements: x y\nidentity: x\ntable:\ny x\nx x\n")
     code, _, err = run(["info", bad], capsys)
     assert code == 2 and "not associative" in err
+    latin1 = tmp_path / "latin1.mon"
+    latin1.write_bytes(b"elements: 1\xff\nidentity: 1\ntable:\n1\n")
+    code, out, err = run(["info", latin1], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {latin1}: not valid UTF-8 at byte 11\n"
     code, _, err = run(["cut", FIXDIR / "Z2.mon", "-n", "0", "--map", "a=g",
                         "a"], capsys)
     assert code == 2
@@ -355,6 +360,15 @@ def test_cli_input_errors_exit_2(tmp_path, capsys):
     assert code == 2
     code, _, err = run(["nonsense"], capsys)
     assert code == 2
+
+
+def test_cli_deeply_nested_term_exits_2(capsys):
+    term = "(" * 5000 + "a" + ")" * 5000
+    code, out, err = run(["shadow", FIXDIR / "Z2.mon", "--map", "a=g",
+                          "--alphas", term, "--ideals", "a"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: term syntax error at position 100:")
+    assert err.count("\n") == 1
 
 
 def test_cli_bad_mono_cap_exits_2(monkeypatch, capsys):

@@ -1,10 +1,66 @@
+from itertools import combinations
+from pathlib import Path
+
 import pytest
 
-from monoidkit import (CapExceeded, InputError, generate_from_transformations,
-                       generator_map, greens, is_aperiodic, is_group_element,
+import monoidkit.cli
+import monoidkit.monoid
+from monoidkit import (CapExceeded, InputError, build_expansion,
+                       generate_from_transformations, generator_map, greens,
+                       ideal_generated, is_aperiodic, is_group_element, is_ideal,
                        is_regular, load_table)
-from monoidkit.catalog import b21, flipflop, n3, t2, trivial, z2, z3
-from monoidkit.monoid import configured_cap
+from monoidkit.catalog import (b21, catalog, fixtures, flipflop, n3, t2, trivial,
+                               z2, z3)
+from monoidkit.cli import cli_dispatch
+from monoidkit.monoid import GreensData, _classify, configured_cap
+
+FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def t3():
+    """The full transformation monoid on 3 points (27 elements)."""
+    M, _ = generate_from_transformations(
+        3, {"c": (1, 2, 0), "t": (1, 0, 2), "e": (0, 0, 2)})
+    return M
+
+
+@pytest.fixture(scope="module")
+def oracle_monoids():
+    """Every fixture, T3, and the catalog expansions at n = 1..3."""
+    out = {name: M for name, (M, _) in fixtures().items()}
+    out["T3"] = t3()
+    for name, (M, g) in catalog().items():
+        for n in (1, 2, 3):
+            out[f"{name}@{n}"] = build_expansion(M, g, n).as_monoid()
+    return out
+
+
+def greens_brute(M):
+    """Oracle: Green's relations with MxM built as every u*x*v, O(n^3)."""
+    n = M.order
+    t = M.table
+    rng = range(n)
+    r_ideal = [frozenset(t[x]) for x in rng]
+    l_ideal = [frozenset(t[y][x] for y in rng) for x in rng]
+    j_ideal = [frozenset(t[t[u][x]][v] for u in rng for v in rng) for x in rng]
+    r_of, r_classes = _classify(r_ideal)
+    l_of, l_classes = _classify(l_ideal)
+    j_of, j_classes = _classify(j_ideal)
+    h_of, h_classes = _classify(list(zip(r_ideal, l_ideal)))
+    reps = [cls[0] for cls in j_classes]
+    j_leq = tuple(tuple(j_ideal[a] <= j_ideal[b] for b in reps) for a in reps)
+    return GreensData(r_of, l_of, j_of, h_of,
+                      r_classes, l_classes, j_classes, h_classes, j_leq)
+
+
+def is_ideal_two_sided(M, S):
+    """Oracle: non-empty and closed under x*a*y for all x, y."""
+    s = set(S)
+    if not s:
+        return False
+    t = M.table
+    rng = range(M.order)
+    return all(t[t[x][a]][y] in s for a in s for x in rng for y in rng)
 
 
 def test_load_trivial():
@@ -100,6 +156,20 @@ def test_mono_cap_env_rejects_non_positive_integers(monkeypatch, raw):
         configured_cap(512)
 
 
+def test_power_matches_repeated_multiplication(fx):
+    for M, _ in fx.values():
+        for a in range(M.order):
+            acc = M.identity
+            for k in range(2 * M.order + 3):
+                assert M.power(a, k) == acc
+                acc = M.mul(acc, a)
+    M = z3()
+    g = M.element("g")
+    assert M.power(g, 10**10) == g  # 10^10 = 1 mod 3
+    with pytest.raises(InputError, match="negative exponent"):
+        M.power(g, -1)
+
+
 def test_multiply_and_power_examples():
     M = z2()
     assert M.mul(1, 1) == 0
@@ -192,15 +262,33 @@ def test_regular_examples():
         assert is_regular(M, M.identity) == (True, M.identity)
 
 
-def test_regular_witness_is_valid(fx):
-    # is_regular cross-checks against the R-class criterion internally
-    for M, _ in fx.values():
+def test_greens_matches_brute_oracle(oracle_monoids):
+    for M in oracle_monoids.values():
+        assert greens(M) == greens_brute(M)
+
+
+def test_regular_witness_is_valid(oracle_monoids):
+    # a is regular iff an idempotent shares its R-class
+    for M in oracle_monoids.values():
+        gd = greens(M)
         for a in range(M.order):
             ok, b = is_regular(M, a)
+            via_r = any(gd.r_class[e] == gd.r_class[a] for e in M.idempotents())
+            assert ok == via_r
             if ok:
                 assert M.mul(M.mul(a, b), a) == a
+                assert all(M.mul(M.mul(a, c), a) != a for c in range(b))
             else:
                 assert b is None
+
+
+def test_aperiodic_matches_trivial_h_classes(oracle_monoids):
+    for M in oracle_monoids.values():
+        ok, bad = is_aperiodic(M)
+        assert ok == all(len(c) == 1 for c in greens(M).h_classes)
+        if not ok:
+            w = M.omega_power(bad)
+            assert M.mul(w, bad) != w
 
 
 def test_aperiodic_examples():
@@ -221,11 +309,47 @@ def test_group_element_examples():
             assert is_group_element(M, e)
 
 
-def test_group_element_matches_h_relation(fx):
-    # the cross-check against a H a^omega runs inside is_group_element
+def test_group_element_matches_h_relation(oracle_monoids):
+    # a is a group element iff a H a^omega
+    for M in oracle_monoids.values():
+        gd = greens(M)
+        for a in range(M.order):
+            assert is_group_element(M, a) == (
+                gd.h_class[a] == gd.h_class[M.omega_power(a)])
+
+
+def test_predicates_never_call_greens(fx, monkeypatch, capsys):
+    argvs = [[cmd, str(FIXDIR / "B21.mon"), "--format", "machine"]
+             for cmd in ("info", "shadow")]
+    expected = []
+    for argv in argvs:
+        code = cli_dispatch(argv)
+        expected.append((code, capsys.readouterr().out))
+
+    def no_greens(M):
+        raise AssertionError("greens was called")
+
+    monkeypatch.setattr(monoidkit.monoid, "greens", no_greens)
+    monkeypatch.setattr(monoidkit.cli, "greens", no_greens)
+    for argv, (code, out) in zip(argvs, expected):
+        assert code == 0 and f"command={argv[0]}\n" in out
+        assert cli_dispatch(argv) == 0
+        assert capsys.readouterr().out == out
     for M, _ in fx.values():
         for a in range(M.order):
             is_group_element(M, a)
+
+
+def test_is_ideal_matches_two_sided_oracle(fx):
+    for M, _ in fx.values():
+        for k in range(min(6, M.order) + 1):
+            for S in combinations(range(M.order), k):
+                assert is_ideal(M, S) == is_ideal_two_sided(M, S)
+    M = t3()
+    for a in range(M.order):
+        I = ideal_generated(M, [a])
+        for S in (I, I[1:]):
+            assert is_ideal(M, S) == is_ideal_two_sided(M, S)
 
 
 def test_generator_map_records_generated_submonoid():

@@ -6,6 +6,7 @@ from monoidkit import (Concat, InputError, Letter, OmegaPower, Power,
                        ideal_product_shadow, parse_term, replay_factorization,
                        term_text, word_image)
 from monoidkit.catalog import flipflop, n3, z2
+from monoidkit.shadows import MAX_TERM_DEPTH
 from helpers import all_words, check_factor_witness
 
 
@@ -37,6 +38,17 @@ def test_parse_errors(text):
 def test_parse_error_reports_position():
     with pytest.raises(InputError, match="position 2"):
         parse_term("a^0")
+
+
+def test_parse_nesting_cap():
+    M = z2()
+    g = generator_map(M, {"a": 1})
+    deepest = "(" * MAX_TERM_DEPTH + "a" + ")^2" * MAX_TERM_DEPTH
+    t = parse_term(deepest)
+    assert parse_term(term_text(t)) == t
+    assert evaluate(t, M, g) == M.identity
+    with pytest.raises(InputError, match=f"position {MAX_TERM_DEPTH}: .*nested"):
+        parse_term("(" + deepest + ")")
 
 
 def test_term_text_round_trip():
