@@ -86,7 +86,7 @@ def parse_tgen(text: str) -> tuple[FiniteMonoid, GeneratorMap]:
     if not lines:
         raise InputError("empty generator file")
     deg_toks = _keyed(lines, 0, "degree")
-    if len(deg_toks) != 1 or not deg_toks[0].isdigit() or int(deg_toks[0]) < 1:
+    if len(deg_toks) != 1 or not deg_toks[0].isdecimal() or int(deg_toks[0]) < 1:
         raise InputError("degree line needs one positive integer")
     degree = int(deg_toks[0])
     gens: dict[str, tuple[int, ...]] = {}
@@ -104,7 +104,7 @@ def parse_tgen(text: str) -> tuple[FiniteMonoid, GeneratorMap]:
             raise InputError(f"line {ln}: expected {degree} images, got {len(toks)}")
         images = []
         for tok in toks:
-            if not tok.isdigit() or not 1 <= int(tok) <= degree:
+            if not tok.isdecimal() or not 1 <= int(tok) <= degree:
                 raise InputError(f"line {ln}: image {tok!r} not in 1..{degree}")
             images.append(int(tok) - 1)
         gens[name] = tuple(images)

@@ -48,6 +48,52 @@ def _check_name(name: str) -> None:
         raise InputError(f"bad element name {name!r}")
 
 
+def _greedy_generators(t: Sequence[Sequence[int]]) -> list[int]:
+    """A generating set of the table t (read as a magma): scan 0..n-1 and
+    pick every element that is not yet a left-nested product of earlier
+    picks; the reached set is closed under right multiplication by the
+    picks, so each element is multiplied by each pick once, O(n * |A|)."""
+    n = len(t)
+    gens: list[int] = []
+    reached = [False] * n
+    found: list[int] = []
+    for x in range(n):
+        if reached[x]:
+            continue
+        gens.append(x)
+        done = len(found)
+        for q in [x] + [t[p][x] for p in found]:
+            if not reached[q]:
+                reached[q] = True
+                found.append(q)
+        while done < len(found):
+            row = t[found[done]]
+            for a in gens:
+                q = row[a]
+                if not reached[q]:
+                    reached[q] = True
+                    found.append(q)
+            done += 1
+    return gens
+
+
+def _light_test(t: tuple[tuple[int, ...], ...]) -> bool:
+    """Light's associativity test over a generating set A, O(n^2 * |A|).
+
+    It checks (x*a)*y == x*(a*y) for every a in A and all x, y.  The a that
+    pass are closed under the product without assuming associativity:
+    x*(ab) = (xa)b, then ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y).  Every
+    element is a product of elements of A, so passing for A means the table
+    is associative (Clifford & Preston, vol. I, section 1.2).
+    """
+    for a in _greedy_generators(t):
+        row_a = t[a]
+        for rx in t:
+            if t[rx[a]] != tuple(map(rx.__getitem__, row_a)):
+                return False
+    return True
+
+
 @dataclass(frozen=True)
 class FiniteMonoid:
     """A monoid given by its full multiplication table.
@@ -117,14 +163,17 @@ class FiniteMonoid:
                 if not 0 <= v < n:
                     raise InputError(f"table entry {v} out of range")
         t = self.table
-        for a in range(n):
-            for b in range(n):
-                ab = t[a][b]
-                for c in range(n):
-                    if t[ab][c] != t[a][t[b][c]]:
-                        na, nb, nc = self.names[a], self.names[b], self.names[c]
-                        raise InputError(
-                            f"not associative: ({na}*{nb})*{nc} != {na}*({nb}*{nc})")
+        if not _light_test(t):
+            # Light's test found a violating triple, so this loop raises; it
+            # runs only to name the lexicographically first one
+            for a in range(n):
+                for b in range(n):
+                    ab = t[a][b]
+                    for c in range(n):
+                        if t[ab][c] != t[a][t[b][c]]:
+                            na, nb, nc = self.names[a], self.names[b], self.names[c]
+                            raise InputError(
+                                f"not associative: ({na}*{nb})*{nc} != {na}*({nb}*{nc})")
         e = self.identity
         if not 0 <= e < n:
             raise InputError("identity index out of range")

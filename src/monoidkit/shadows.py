@@ -87,10 +87,10 @@ class _Parser:
             if ch == "w":
                 self.pos += 1
                 return OmegaPower(a)
-            if ch is None or not ch.isdigit():
+            if ch is None or not ch.isdecimal():
                 self.error("expected an integer or w after ^")
             start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            while self.pos < len(self.text) and self.text[self.pos].isdecimal():
                 self.pos += 1
             k = int(self.text[start:self.pos])
             if k < 1:
@@ -114,7 +114,7 @@ class _Parser:
             self.pos += 1
             self.depth -= 1
             return t
-        if ch in ")^" or ch.isdigit():
+        if ch in ")^" or ch.isdecimal():
             self.error(f"unexpected {ch!r}")
         self.pos += 1
         return Letter(ch)

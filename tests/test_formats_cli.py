@@ -1,4 +1,5 @@
 import hashlib
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -72,6 +73,8 @@ def test_tgen_flipflop():
     "degree: 2\ngen s: 1 3\n",
     "degree: 2\ngen s: 1 1\ngen s: 2 2\n",
     "degree: 2\nnot a gen line\n",
+    "degree: \u00b2\n",                 # str.isdigit, but not int()
+    "degree: 2\ngen s: 1 \u00b2\n",
 ])
 def test_tgen_errors(text):
     with pytest.raises(InputError):
@@ -114,20 +117,36 @@ def test_dfa_errors(text):
         parse_dfa(text)
 
 
-def test_cli_info_n3_golden(capsys):
-    path = FIXDIR / "N3.mon"
-    code, out, _ = run(["info", path, "--format", "machine"], capsys)
-    assert code == 0
-    assert out == (
+def n3_info_golden() -> str:
+    return (
         "aperiodic=true\n"
         "command=info\n"
         "idempotents={1,0}\n"
         "identity=1\n"
-        f"input={digest(path)}\n"
+        f"input={digest(FIXDIR / 'N3.mon')}\n"
         "minimal_ideal={0}\n"
         "order=3\n"
         "regular_elements={1,0}\n"
     )
+
+
+def test_cli_info_n3_golden(capsys):
+    code, out, _ = run(["info", FIXDIR / "N3.mon", "--format", "machine"], capsys)
+    assert code == 0
+    assert out == n3_info_golden()
+
+
+def test_python_m_runs_the_cli():
+    def python_m(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "monoidkit.cli", *argv], capture_output=True,
+            env={**os.environ, "PYTHONPATH": str(SRCDIR)}, cwd=FIXDIR.parent)
+
+    proc = python_m("info", "fixtures/N3.mon", "--format", "machine")
+    assert proc.returncode == 0
+    assert proc.stdout == n3_info_golden().encode()
+    proc = python_m("nonsense")
+    assert proc.returncode == 2 and b"invalid choice: 'nonsense'" in proc.stderr
 
 
 def test_cli_greens_flipflop_golden(capsys):

@@ -1,0 +1,118 @@
+"""Seeded fuzzing of the CLI's input files and term strings.
+
+Each case mutates a shipped fixture (or a term) and runs it through
+`cli_dispatch`.  Whatever the input, the exit code must be 0, 1 or 2, an
+exit 2 must come with exactly one `error:` line on stderr, and no exception
+may escape.  MONO_SEED pins the sample.
+"""
+
+import os
+import random
+import re
+from pathlib import Path
+
+import pytest
+
+from monoidkit.cli import cli_dispatch
+
+FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
+
+# element, state and letter names of the fixtures, the formats' punctuation,
+# and characters that are digits to str.isdigit but not to int()
+POOL = "01239agbsrcqe \n\t:#^w()|,;-*²é٣"
+
+CASES_PER_FILE = 16
+TERMS = ("a", "a^w", "(ab)^w a", "a^2 b", "(a b^w)^3")
+
+
+def mutate(rng: random.Random, text: str, kinds: int = 7) -> str:
+    """One or two random edits; kinds=4 keeps to character and token edits."""
+    for _ in range(rng.randint(1, 2)):
+        lines = text.split("\n")
+        op = rng.randrange(kinds)
+        i = rng.randrange(len(text) + 1)
+        if op == 0:
+            text = text[:i] + rng.choice(POOL) + text[i + 1:]
+        elif op == 1:
+            text = text[:i] + text[i + 1:]
+        elif op == 2:
+            text = text[:i] + rng.choice(POOL) + text[i:]
+        elif op == 3:
+            # swap a token for another token of the text: the shape survives,
+            # so mutated tables reach the associativity check
+            toks = list(re.finditer(r"\S+", text))
+            if toks:
+                m = rng.choice(toks)
+                text = text[:m.start()] + rng.choice(toks)[0] + text[m.end():]
+        elif op == 4:
+            del lines[rng.randrange(len(lines))]
+            text = "\n".join(lines)
+        elif op == 5:
+            j = rng.randrange(len(lines))
+            lines.insert(j, lines[j])
+            text = "\n".join(lines)
+        else:
+            j, k = rng.randrange(len(lines)), rng.randrange(len(lines))
+            lines[j], lines[k] = lines[k], lines[j]
+            text = "\n".join(lines)
+    return text
+
+
+def mutate_entries(rng: random.Random, text: str) -> str:
+    """Set one or two table entries of a canonical .mon text to element
+    names, so the table parses and meets the associativity check."""
+    lines = text.split("\n")
+    names = lines[0].split()[1:]
+    for _ in range(rng.randint(1, 2)):
+        r = rng.randrange(3, 3 + len(names))
+        row = lines[r].split()
+        row[rng.randrange(len(row))] = rng.choice(names)
+        lines[r] = " ".join(row)
+    return "\n".join(lines)
+
+
+def cases(rng: random.Random, tmp: Path):
+    """(argv, mutated text) pairs: every fixture file, then term strings."""
+    k = 0
+    for src in sorted(FIXDIR.iterdir()):
+        for _ in range(CASES_PER_FILE):
+            text = src.read_text()
+            if src.suffix == ".mon" and rng.random() < 0.5:
+                text = mutate_entries(rng, text)
+            else:
+                text = mutate(rng, text)
+            path = tmp / f"case{k}{src.suffix}"
+            k += 1
+            path.write_text(text, encoding="utf-8")
+            if src.suffix == ".tgen":
+                yield ["from-tgen", str(path)], text
+            elif src.suffix == ".dfa":
+                yield ["from-dfa", str(path)], text
+            else:
+                cmd = rng.choice(("info", "greens", "shadow"))
+                yield [cmd, str(path)], text
+    for _ in range(4 * CASES_PER_FILE):
+        terms = [rng.choice(TERMS) for _ in range(4)]
+        terms = [mutate(rng, t, 4) if rng.random() < 0.5 else t for t in terms]
+        alphas, ideals = ";".join(terms[:2]), "|".join(terms[2:])
+        name, gens = rng.choice((("B21", "a=a,b=b"), ("N3", "a=a,b=0")))
+        argv = ["shadow", str(FIXDIR / f"{name}.mon"), "--map", gens,
+                f"--alphas={alphas}", f"--ideals={ideals}"]
+        yield argv, f"{alphas} | {ideals}"
+
+
+def test_mutated_inputs_keep_the_exit_code_contract(tmp_path, capsys):
+    rng = random.Random(int(os.environ.get("MONO_SEED", "0")))
+    seen = set()
+    for argv, text in cases(rng, tmp_path):
+        try:
+            code = cli_dispatch(argv + ["--format", "machine"])
+        except Exception as exc:  # any escaping exception is the failure
+            pytest.fail(f"{argv[0]} on {text!r} raised {exc!r}")
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), (argv[0], text, code)
+        if code == 2:
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), (text, err)
+        seen.add(code)
+    assert {0, 2} <= seen

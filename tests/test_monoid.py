@@ -1,3 +1,6 @@
+import os
+import random
+from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 
@@ -12,7 +15,7 @@ from monoidkit import (CapExceeded, InputError, build_expansion,
 from monoidkit.catalog import (b21, catalog, fixtures, flipflop, n3, t2, trivial,
                                z2, z3)
 from monoidkit.cli import cli_dispatch
-from monoidkit.monoid import GreensData, _classify, configured_cap
+from monoidkit.monoid import FiniteMonoid, GreensData, _classify, configured_cap
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -53,6 +56,36 @@ def greens_brute(M):
                       r_classes, l_classes, j_classes, h_classes, j_leq)
 
 
+def validate_brute(M):
+    """Oracle: validate's associativity and identity checks, with the full
+    n^3 loop for associativity (the table is taken to be in shape)."""
+    n = M.order
+    t = M.table
+    for a in range(n):
+        for b in range(n):
+            ab = t[a][b]
+            for c in range(n):
+                if t[ab][c] != t[a][t[b][c]]:
+                    na, nb, nc = M.names[a], M.names[b], M.names[c]
+                    raise InputError(
+                        f"not associative: ({na}*{nb})*{nc} != {na}*({nb}*{nc})")
+    e = M.identity
+    if not 0 <= e < n:
+        raise InputError("identity index out of range")
+    for x in range(n):
+        if t[e][x] != x or t[x][e] != x:
+            raise InputError(
+                f"{M.names[e]!r} is not an identity (fails at {M.names[x]!r})")
+
+
+def validate_verdict(check, M):
+    try:
+        check(M)
+    except InputError as exc:
+        return str(exc)
+    return None
+
+
 def is_ideal_two_sided(M, S):
     """Oracle: non-empty and closed under x*a*y for all x, y."""
     s = set(S)
@@ -86,6 +119,41 @@ def test_load_rejects_nonassociative_table():
     text = "elements: x y\nidentity: x\ntable:\ny x\nx x\n"
     with pytest.raises(InputError, match=r"not associative: \(x\*x\)\*y"):
         load_table(text)
+
+
+def test_nonassociative_error_comes_before_identity_error():
+    # 1 is not an identity (1*a = b), and (1*a)*a = b*a = a but 1*(a*a) = 1*b = b
+    M = FiniteMonoid(("1", "a", "b"), 0,
+                     ((0, 2, 2), (1, 2, 2), (2, 1, 2)))
+    msg = "not associative: (1*a)*a != 1*(a*a)"
+    assert validate_verdict(validate_brute, M) == msg
+    with pytest.raises(InputError) as exc:
+        M.validate()
+    assert str(exc.value) == msg
+
+
+def test_validate_matches_brute_oracle(oracle_monoids, cat):
+    # every table, then seeded one- and two-entry mutations of each;
+    # MONO_SEED pins the sample
+    rng = random.Random(int(os.environ.get("MONO_SEED", "0")))
+    tables = [*oracle_monoids.values(), *(M for M, _ in cat.values())]
+    failures = 0
+    for M in tables:
+        assert validate_verdict(FiniteMonoid.validate, M) is None
+        assert validate_verdict(validate_brute, M) is None
+        n = M.order
+        if n == 1:
+            continue
+        for k in (1, 2) * 12:
+            rows = [list(row) for row in M.table]
+            for _ in range(k):
+                x, y = rng.randrange(n), rng.randrange(n)
+                rows[x][y] = rng.choice([v for v in range(n) if v != rows[x][y]])
+            Mx = replace(M, table=tuple(map(tuple, rows)))
+            verdict = validate_verdict(validate_brute, Mx)
+            assert validate_verdict(FiniteMonoid.validate, Mx) == verdict
+            failures += verdict is not None and verdict.startswith("not associative")
+    assert failures > 100   # the sample does reach the fallback path
 
 
 def test_load_rejects_bad_identity():

@@ -29,7 +29,8 @@ def test_parse_whitespace_and_nesting():
     assert parse_term("((a))") == Letter("a")
 
 
-@pytest.mark.parametrize("text", ["", "a^0", "(ab", "a)", "^2", "a^", "a^x", "2a", "()"])
+@pytest.mark.parametrize("text", ["", "a^0", "(ab", "a)", "^2", "a^", "a^x", "2a", "()",
+                                  "a^\u00b2"])
 def test_parse_errors(text):
     with pytest.raises(InputError):
         parse_term(text)
