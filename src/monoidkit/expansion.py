@@ -14,7 +14,7 @@ from functools import cached_property, reduce
 
 from .monoid import (CapExceeded, FiniteMonoid, GeneratorMap, InputError,
                      configured_cap)
-from .words import CutProfile
+from .words import CutProfile, _spread, _squeeze, _step
 
 DEFAULT_PROFILE_CAP = 20_000
 
@@ -23,44 +23,25 @@ def letter_profile(M: FiniteMonoid, g: GeneratorMap, a: str, n: int) -> CutProfi
     """Profile of a single letter: its image in one slot, identity elsewhere."""
     if n < 1:
         raise InputError("arity must be >= 1")
-    x = g.image(a)
-    e = M.identity
-    return CutProfile.make(
-        n, ((e,) * k + (x,) + (e,) * (n - 1 - k) for k in range(n)))
-
-
-def _last_nonidentity(t: tuple[int, ...], e: int) -> int:
-    for k in range(len(t) - 1, -1, -1):
-        if t[k] != e:
-            return k
-    return -1
+    return _spread(M, n, _step(M, n, [()], g.image(a)))
 
 
 def profile_product(M: FiniteMonoid, n: int, s: CutProfile, t: CutProfile) -> CutProfile:
-    """Merge two profiles at every cut index.
-
-    A tuple of the product glues a prefix reading of s to a suffix reading
-    of t, multiplying the two slots that meet at the glue point; identity
-    padding supplies the shorter readings.  Equals the profile of the
-    concatenation when s and t are word profiles.
-    """
+    """Extend each non-identity sequence of s by one of t: t's first part
+    takes the letter step and the rest follow as new parts.  Equals the
+    profile of the concatenation when s and t are word profiles."""
     if s.n != n or t.n != n:
         raise InputError("profile arity mismatch")
-    e = M.identity
-    table = M.table
+    heads = _squeeze(M, s)
     out = set()
-    tt = [(tup, _last_nonidentity(tup, e)) for tup in t.tuples]
-    for stup in s.tuples:
-        lo = max(1, _last_nonidentity(stup, e) + 1)
-        for ttup, pt in tt:
-            hi = n if pt < 0 else n - pt
-            for i in range(lo, hi + 1):
-                out.add(stup[:i - 1] + (table[stup[i - 1]][ttup[0]],) + ttup[1:n - i + 1])
-    return CutProfile.make(n, out)
+    for b in _squeeze(M, t):
+        joined = _step(M, n, heads, b[0]) if b else heads
+        out.update(c + b[1:] for c in joined if len(c) + len(b) <= n + 1)
+    return _spread(M, n, out)
 
 
 def identity_profile(M: FiniteMonoid, n: int) -> CutProfile:
-    return CutProfile.make(n, [(M.identity,) * n])
+    return _spread(M, n, [()])
 
 
 def word_profile(M: FiniteMonoid, g: GeneratorMap, w: str, n: int) -> CutProfile:
@@ -116,8 +97,8 @@ def build_expansion(
     n: int,
     cap: int | None = None,
 ) -> ExpandedMonoid:
-    """Breadth-first closure of the identity and letter profiles under
-    profile products.
+    """Breadth-first closure of the identity profile under the letter step
+    that `cut` folds over a word.
 
     Numbering is canonical: each generation of newly reached profiles is
     sorted by encoding before numbering; representatives are
@@ -127,7 +108,7 @@ def build_expansion(
     The search records the right Cayley graph (``right[k][i]`` is the
     index of profile i times letter k) and, for each profile, the
     (parent, letter) step of its representative.  Profile equality is a
-    congruence, so the table follows without further profile products:
+    congruence, so the table follows without any profile products:
     ``p * q = (p * parent(q)) * letter(q)``, and ``parent(q) < q``
     (Froidure & Pin, "Algorithms for computing finite semigroups", 1997).
     """
@@ -135,7 +116,7 @@ def build_expansion(
         raise InputError("arity must be >= 1")
     cap = configured_cap(DEFAULT_PROFILE_CAP) if cap is None else cap
     ident = identity_profile(M, n)
-    letters = [letter_profile(M, g, a, n) for a in g.alphabet]
+    letters = [g.image(a) for a in g.alphabet]
     profiles = [ident]
     words = [""]
     parent = [0]
@@ -144,8 +125,8 @@ def build_expansion(
     index: dict[CutProfile, int] = {ident: 0}
     frontier = [0]
     while frontier:
-        batches = [[profile_product(M, n, profiles[i], lp) for lp in letters]
-                   for i in frontier]
+        batches = [[_spread(M, n, _step(M, n, seqs, x)) for x in letters]
+                   for seqs in (_squeeze(M, profiles[i]) for i in frontier)]
         found: dict[CutProfile, tuple[str, int, int]] = {}
         for i, batch in zip(frontier, batches):
             for k, q in enumerate(batch):

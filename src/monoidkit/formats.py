@@ -4,10 +4,13 @@ comment anywhere."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .monoid import (FiniteMonoid, GeneratorMap, InputError, _check_name,
                      generate_from_transformations)
+
+MAX_TGEN_DEGREE = 1024
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:
@@ -17,6 +20,17 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
         if line:
             out.append((ln, line))
     return out
+
+
+def _numeral(tok: str) -> float:
+    """The value of a decimal numeral, or -1 if tok is not one.  int()
+    refuses numerals past 4300 digits; those read as infinite."""
+    if not tok.isdecimal():
+        return -1
+    try:
+        return int(tok)
+    except ValueError:
+        return math.inf
 
 
 def _keyed(lines: list[tuple[int, str]], k: int, key: str) -> list[str]:
@@ -86,9 +100,11 @@ def parse_tgen(text: str) -> tuple[FiniteMonoid, GeneratorMap]:
     if not lines:
         raise InputError("empty generator file")
     deg_toks = _keyed(lines, 0, "degree")
-    if len(deg_toks) != 1 or not deg_toks[0].isdecimal() or int(deg_toks[0]) < 1:
+    degree = _numeral(deg_toks[0]) if len(deg_toks) == 1 else -1
+    if degree < 1:
         raise InputError("degree line needs one positive integer")
-    degree = int(deg_toks[0])
+    if degree > MAX_TGEN_DEGREE:
+        raise InputError(f"degree exceeds cap of {MAX_TGEN_DEGREE}")
     gens: dict[str, tuple[int, ...]] = {}
     for ln, line in lines[1:]:
         if not line.startswith("gen ") or ":" not in line:
@@ -104,9 +120,10 @@ def parse_tgen(text: str) -> tuple[FiniteMonoid, GeneratorMap]:
             raise InputError(f"line {ln}: expected {degree} images, got {len(toks)}")
         images = []
         for tok in toks:
-            if not tok.isdecimal() or not 1 <= int(tok) <= degree:
+            v = _numeral(tok)
+            if not 1 <= v <= degree:
                 raise InputError(f"line {ln}: image {tok!r} not in 1..{degree}")
-            images.append(int(tok) - 1)
+            images.append(v - 1)
         gens[name] = tuple(images)
     return generate_from_transformations(degree, gens)
 

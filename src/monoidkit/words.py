@@ -7,10 +7,13 @@ allowed everywhere and evaluate to the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
-from typing import Iterable, Iterator, Sequence
+from itertools import combinations, combinations_with_replacement
+from math import comb
+from typing import Collection, Iterable, Iterator, Sequence
 
-from .monoid import FiniteMonoid, GeneratorMap, InputError
+from .monoid import CapExceeded, FiniteMonoid, GeneratorMap, InputError
+
+MAX_PROFILE_TUPLES = 100_000
 
 
 def factorizations(w: str, n: int) -> Iterator[tuple[str, ...]]:
@@ -76,27 +79,50 @@ def cut_brute(M: FiniteMonoid, g: GeneratorMap, w: str, n: int) -> CutProfile:
     return CutProfile.make(n, out)
 
 
+def _squeeze(M: FiniteMonoid, p: CutProfile) -> set[tuple[int, ...]]:
+    """Each tuple of p without its identity entries."""
+    return {tuple(x for x in t if x != M.identity) for t in p.tuples}
+
+
+def _spread(M: FiniteMonoid, n: int, seqs: Collection[tuple[int, ...]]) -> CutProfile:
+    """Every placement of each sequence into n slots, identity elsewhere (a
+    part of image 1 reads like an empty part, so this inverts _squeeze)."""
+    size = sum(comb(n, len(s)) for s in seqs)
+    if size > MAX_PROFILE_TUPLES:
+        raise CapExceeded(f"cut profile of {size} tuples exceeds cap of "
+                          f"{MAX_PROFILE_TUPLES}", size)
+    tuples = []
+    for s in seqs:
+        for slots in combinations(range(n), len(s)):
+            t = [M.identity] * n
+            for k, x in zip(slots, s):
+                t[k] = x
+            tuples.append(tuple(t))
+    return CutProfile(n, tuple(sorted(tuples)))
+
+
+def _step(M: FiniteMonoid, n: int, seqs: Iterable[tuple[int, ...]], x: int) -> set:
+    """Append a letter of image x: it multiplies into the last part (dropped
+    if the product is 1) or starts a new part while fewer than n are used."""
+    table, e = M.table, M.identity
+    out = set()
+    for s in seqs:
+        if s:
+            y = table[s[-1]][x]
+            out.add(s[:-1] + (y,) if y != e else s[:-1])
+        if len(s) < n:
+            out.add(s + (x,) if x != e else s)
+    return out
+
+
 def cut(M: FiniteMonoid, g: GeneratorMap, w: str, n: int) -> CutProfile:
-    """Profile by letter extension: appending a letter multiplies it into
-    the last non-padding slot or starts any later slot."""
+    """Profile by letter extension over the non-identity sequences."""
     if n < 1:
         raise InputError("arity must be >= 1")
-    e = M.identity
-    table = M.table
-    tuples = {(e,) * n}
+    seqs = {()}
     for ch in w:
-        x = g.image(ch)
-        nxt = set()
-        for t in tuples:
-            p = -1
-            for k in range(n - 1, -1, -1):
-                if t[k] != e:
-                    p = k
-                    break
-            for j in range(max(1, p + 1), n + 1):
-                nxt.add(t[:j - 1] + (table[t[j - 1]][x],) + (e,) * (n - j))
-        tuples = nxt
-    return CutProfile.make(n, tuples)
+        seqs = _step(M, n, seqs, g.image(ch))
+    return _spread(M, n, seqs)
 
 
 def match_factorization(

@@ -1,3 +1,6 @@
+import os
+import random
+
 import pytest
 
 from monoidkit import (CapExceeded, CutProfile, InputError, build_expansion,
@@ -199,6 +202,44 @@ def test_table_matches_profile_product_oracle(cat):
         M, g = cat[name]
         E = build_expansion(M, g, n)
         assert E.table == product_table(E), (name, n)
+
+
+def _last_nonidentity(t, e):
+    for k in range(len(t) - 1, -1, -1):
+        if t[k] != e:
+            return k
+    return -1
+
+
+def profile_product_padded(M, n, s, t):
+    """The earlier profile_product, kept as an oracle: glue a prefix
+    reading of s to a suffix reading of t at every cut index, identity
+    padding supplying the shorter readings."""
+    if s.n != n or t.n != n:
+        raise InputError("profile arity mismatch")
+    e = M.identity
+    table = M.table
+    out = set()
+    tt = [(tup, _last_nonidentity(tup, e)) for tup in t.tuples]
+    for stup in s.tuples:
+        lo = max(1, _last_nonidentity(stup, e) + 1)
+        for ttup, pt in tt:
+            hi = n if pt < 0 else n - pt
+            for i in range(lo, hi + 1):
+                out.add(stup[:i - 1] + (table[stup[i - 1]][ttup[0]],) + ttup[1:n - i + 1])
+    return CutProfile.make(n, out)
+
+
+def test_profile_product_matches_padded_oracle(fx):
+    # a MONO_SEED-pinned sample of pairs of arity-3 expansion profiles
+    rng = random.Random(int(os.environ.get("MONO_SEED", "0")))
+    for name, (M, g) in fx.items():
+        E = build_expansion(M, g, 3)
+        for _ in range(150):
+            p, q = rng.choice(E.profiles), rng.choice(E.profiles)
+            pq = profile_product(M, 3, p, q)
+            assert pq == profile_product_padded(M, 3, p, q), name
+            assert E.index[pq] == E.table[E.index[p]][E.index[q]], name
 
 
 def test_word_profile_equals_cut(cat):

@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -75,6 +76,11 @@ def test_tgen_flipflop():
     "degree: 2\nnot a gen line\n",
     "degree: \u00b2\n",                 # str.isdigit, but not int()
     "degree: 2\ngen s: 1 \u00b2\n",
+    "degree: 1025\n",                 # past MAX_TGEN_DEGREE
+    "degree: 1000000000\n",
+    # numerals too long for int()
+    pytest.param("degree: " + "9" * 5000 + "\n", id="degree-5000-digits"),
+    pytest.param("degree: 2\ngen s: 1 " + "9" * 5000 + "\n", id="image-5000-digits"),
 ])
 def test_tgen_errors(text):
     with pytest.raises(InputError):
@@ -388,6 +394,30 @@ def test_cli_deeply_nested_term_exits_2(capsys):
     assert code == 2 and out == ""
     assert err.startswith("error: term syntax error at position 100:")
     assert err.count("\n") == 1
+
+
+def test_cli_huge_cut_profile_exits_2(capsys):
+    # 4416325 tuples at n = 100: without the cap this ran for minutes
+    argv = ["cut", FIXDIR / "B21.mon", "-n", "100", "--map", "a=a,b=b", "abab",
+            "--format", "machine"]
+    t0 = time.perf_counter()
+    code, out, err = run(argv, capsys)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == ""
+    assert err == "error: cut profile of 4416325 tuples exceeds cap of 100000\n"
+
+
+def test_cli_huge_tgen_degree_exits_2(tmp_path, capsys):
+    path = tmp_path / "huge.tgen"
+    path.write_text("degree: 1000000000\n")
+    code, out, err = run(["from-tgen", path, "--format", "machine"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: degree exceeds cap of 1024\n"
+
+
+def test_tgen_degree_at_cap_is_accepted():
+    M, _ = parse_tgen("degree: 1024\n")
+    assert M.order == 1
 
 
 def test_cli_bad_mono_cap_exits_2(monkeypatch, capsys):

@@ -1,11 +1,14 @@
 import math
+import os
+import random
 from itertools import accumulate, product
 
 import pytest
 
-from monoidkit import (FactorWitness, InputError, cut, cut_brute,
-                       factorizations, lemma_factor, match_factorization,
-                       word_image, word_profile)
+import monoidkit.words
+from monoidkit import (CapExceeded, CutProfile, FactorWitness, InputError, cut,
+                       cut_brute, factorizations, lemma_factor,
+                       match_factorization, word_image, word_profile)
 from helpers import all_words, check_factor_witness
 
 
@@ -104,6 +107,56 @@ def test_cut_implementations_agree(cat):
         for w in all_words("ab", 4):
             for n in (1, 2, 3):
                 assert cut(M, g, w, n) == cut_brute(M, g, w, n) == word_profile(M, g, w, n)
+
+
+def cut_padded(M, g, w, n):
+    """The earlier cut, kept as an oracle: n-tuples padded with identities,
+    where a letter multiplies into the last non-identity slot or starts
+    any later slot."""
+    if n < 1:
+        raise InputError("arity must be >= 1")
+    e = M.identity
+    table = M.table
+    tuples = {(e,) * n}
+    for ch in w:
+        x = g.image(ch)
+        nxt = set()
+        for t in tuples:
+            p = -1
+            for k in range(n - 1, -1, -1):
+                if t[k] != e:
+                    p = k
+                    break
+            for j in range(max(1, p + 1), n + 1):
+                nxt.add(t[:j - 1] + (table[t[j - 1]][x],) + (e,) * (n - j))
+        tuples = nxt
+    return CutProfile.make(n, tuples)
+
+
+def test_cut_matches_padded_oracle(fx):
+    for _, (M, g) in fx.items():
+        for w in all_words("ab", 6):
+            for n in (1, 2, 3, 4):
+                assert cut(M, g, w, n) == cut_padded(M, g, w, n), (w, n)
+    # the shapes of the benchmark's seeded cut jobs; MONO_SEED pins the words
+    rng = random.Random(int(os.environ.get("MONO_SEED", "0")))
+    for name, n, length in (("flipflop", 8, 120), ("n3", 7, 60),
+                            ("b21", 5, 120), ("t2", 6, 60)):
+        M, g = fx[name]
+        w = "".join(rng.choice("ab") for _ in range(length))
+        assert cut(M, g, w, n) == cut_padded(M, g, w, n), (name, w, n)
+
+
+def test_cut_profile_size_cap(fx, monkeypatch):
+    M, g = fx["b21"]
+    size = len(cut(M, g, "abab", 5).tuples)
+    monkeypatch.setattr(monoidkit.words, "MAX_PROFILE_TUPLES", size)
+    assert len(cut(M, g, "abab", 5).tuples) == size
+    monkeypatch.setattr(monoidkit.words, "MAX_PROFILE_TUPLES", size - 1)
+    with pytest.raises(CapExceeded) as ei:
+        cut(M, g, "abab", 5)
+    assert ei.value.count == size
+    assert str(ei.value) == f"cut profile of {size} tuples exceeds cap of {size - 1}"
 
 
 def test_lemma_examples():
