@@ -98,7 +98,8 @@ def build_expansion(
     cap: int | None = None,
 ) -> ExpandedMonoid:
     """Breadth-first closure of the identity profile under the letter step
-    that `cut` folds over a word.
+    that `cut` folds over a word, run on each profile's set of non-identity
+    sequences; each new profile is spread into its tuples once.
 
     Numbering is canonical: each generation of newly reached profiles is
     sorted by encoding before numbering; representatives are
@@ -115,19 +116,19 @@ def build_expansion(
     if n < 1:
         raise InputError("arity must be >= 1")
     cap = configured_cap(DEFAULT_PROFILE_CAP) if cap is None else cap
-    ident = identity_profile(M, n)
     letters = [g.image(a) for a in g.alphabet]
-    profiles = [ident]
+    seqs = [frozenset({()})]
+    profiles = [_spread(M, n, seqs[0])]
     words = [""]
     parent = [0]
     last = [0]
     right: list[list[int]] = [[] for _ in letters]
-    index: dict[CutProfile, int] = {ident: 0}
+    index: dict[frozenset, int] = {seqs[0]: 0}
     frontier = [0]
     while frontier:
-        batches = [[_spread(M, n, _step(M, n, seqs, x)) for x in letters]
-                   for seqs in (_squeeze(M, profiles[i]) for i in frontier)]
-        found: dict[CutProfile, tuple[str, int, int]] = {}
+        batches = [[frozenset(_step(M, n, seqs[i], x)) for x in letters]
+                   for i in frontier]
+        found: dict[frozenset, tuple[str, int, int]] = {}
         for i, batch in zip(frontier, batches):
             for k, q in enumerate(batch):
                 if q in index:
@@ -136,13 +137,15 @@ def build_expansion(
                 prev = found.get(q)
                 if prev is None or cand < prev[0]:
                     found[q] = (cand, i, k)
-        new = sorted(found, key=lambda p: p.tuples)
+        spread = {q: _spread(M, n, q) for q in found}
+        new = sorted(found, key=lambda q: spread[q].tuples)
         for q in new:
             if len(profiles) >= cap:
                 raise CapExceeded(
                     f"expansion exceeded cap of {cap} profiles", len(profiles))
             index[q] = len(profiles)
-            profiles.append(q)
+            seqs.append(q)
+            profiles.append(spread[q])
             w, i, k = found[q]
             words.append(w)
             parent.append(i)
@@ -154,18 +157,14 @@ def build_expansion(
                 right[k].append(index[q])
         frontier = [index[q] for q in new]
 
-    eta = []
-    for p in profiles:
-        vals = {reduce(M.mul, t, M.identity) for t in p.tuples}
-        assert len(vals) == 1  # every tuple of a profile multiplies to one image
-        eta.append(vals.pop())
+    # every sequence of a profile multiplies to the same image
+    eta = tuple(reduce(M.mul, next(iter(s)), M.identity) for s in seqs)
     # columns[q][p] = p * q, so each column is one lookup per row
     columns = [range(len(profiles))]
     for q in range(1, len(profiles)):
         columns.append(list(map(right[last[q]].__getitem__, columns[parent[q]])))
     table = tuple(zip(*columns))
-    return ExpandedMonoid(M, g, n, tuple(profiles), table,
-                          tuple(eta), tuple(words))
+    return ExpandedMonoid(M, g, n, tuple(profiles), table, eta, tuple(words))
 
 
 def check_eta_aperiodic(E: ExpandedMonoid) -> tuple[bool, tuple[int, int] | None]:

@@ -9,10 +9,12 @@ including honest failures.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
 
+from .formats import _numeral
 from .monoid import (FiniteMonoid, GeneratorMap, InputError, ideal_generated,
                      ideal_product, is_group_element)
 from .words import FactorWitness, cut, lemma_factor, match_factorization, word_image
@@ -92,10 +94,13 @@ class _Parser:
             start = self.pos
             while self.pos < len(self.text) and self.text[self.pos].isdecimal():
                 self.pos += 1
-            k = int(self.text[start:self.pos])
+            k = _numeral(self.text[start:self.pos])
             if k < 1:
                 self.pos = start
                 self.error("exponent must be at least 1")
+            if k == math.inf:
+                self.pos = start
+                self.error("exponent has too many digits")
             return Power(a, k)
         return a
 

@@ -1,5 +1,6 @@
 import os
 import random
+from functools import reduce
 
 import pytest
 
@@ -9,6 +10,9 @@ from monoidkit import (CapExceeded, CutProfile, InputError, build_expansion,
                        letter_profile, profile_product, word_image,
                        word_profile)
 from monoidkit.catalog import z2, z3
+from monoidkit.expansion import DEFAULT_PROFILE_CAP, ExpandedMonoid
+from monoidkit.monoid import configured_cap
+from monoidkit.words import _spread, _squeeze, _step
 from helpers import all_words
 
 
@@ -202,6 +206,112 @@ def test_table_matches_profile_product_oracle(cat):
         M, g = cat[name]
         E = build_expansion(M, g, n)
         assert E.table == product_table(E), (name, n)
+
+
+def build_expansion_spread(M, g, n, cap=None):
+    """The earlier build_expansion, kept as an oracle: it keys the search
+    on padded CutProfiles, spreads every letter step of every frontier
+    profile, and checks that all tuples of a profile give one eta."""
+    if n < 1:
+        raise InputError("arity must be >= 1")
+    cap = configured_cap(DEFAULT_PROFILE_CAP) if cap is None else cap
+    ident = identity_profile(M, n)
+    letters = [g.image(a) for a in g.alphabet]
+    profiles = [ident]
+    words = [""]
+    parent = [0]
+    last = [0]
+    right = [[] for _ in letters]
+    index = {ident: 0}
+    frontier = [0]
+    while frontier:
+        batches = [[_spread(M, n, _step(M, n, seqs, x)) for x in letters]
+                   for seqs in (_squeeze(M, profiles[i]) for i in frontier)]
+        found = {}
+        for i, batch in zip(frontier, batches):
+            for k, q in enumerate(batch):
+                if q in index:
+                    continue
+                cand = words[i] + g.alphabet[k]
+                prev = found.get(q)
+                if prev is None or cand < prev[0]:
+                    found[q] = (cand, i, k)
+        new = sorted(found, key=lambda p: p.tuples)
+        for q in new:
+            if len(profiles) >= cap:
+                raise CapExceeded(
+                    f"expansion exceeded cap of {cap} profiles", len(profiles))
+            index[q] = len(profiles)
+            profiles.append(q)
+            w, i, k = found[q]
+            words.append(w)
+            parent.append(i)
+            last.append(k)
+        for batch in batches:
+            for k, q in enumerate(batch):
+                right[k].append(index[q])
+        frontier = [index[q] for q in new]
+
+    eta = []
+    for p in profiles:
+        vals = {reduce(M.mul, t, M.identity) for t in p.tuples}
+        assert len(vals) == 1  # every tuple of a profile multiplies to one image
+        eta.append(vals.pop())
+    columns = [range(len(profiles))]
+    for q in range(1, len(profiles)):
+        columns.append(list(map(right[last[q]].__getitem__, columns[parent[q]])))
+    table = tuple(zip(*columns))
+    return ExpandedMonoid(M, g, n, tuple(profiles), table,
+                          tuple(eta), tuple(words))
+
+
+def spread_oracle_cases(fx):
+    cases = [(name, n) for name in ("trivial", "z2", "z3", "n3", "flipflop")
+             for n in (1, 2, 3, 4)]
+    cases += [("t2", n) for n in (1, 2, 3)] + [("b21", n) for n in (1, 2)]
+    return [(name, n, *fx[name]) for name, n in cases]
+
+
+def test_build_matches_spread_oracle(fx):
+    for name, n, M, g in spread_oracle_cases(fx):
+        E, F = build_expansion(M, g, n), build_expansion_spread(M, g, n)
+        assert E.profiles == F.profiles, (name, n)
+        assert E.table == F.table, (name, n)
+        assert E.eta == F.eta, (name, n)
+        assert E.representatives == F.representatives, (name, n)
+
+
+def test_every_tuple_multiplies_to_eta(fx):
+    for name, n, M, g in spread_oracle_cases(fx):
+        E = build_expansion(M, g, n)
+        for p, e in zip(E.profiles, E.eta):
+            assert {reduce(M.mul, t, M.identity) for t in p.tuples} == {e}, (name, n)
+
+
+@pytest.mark.parametrize("limit", [2, 12, 30, 42])
+def test_tuple_cap_stops_where_the_spread_oracle_does(monkeypatch, fx, limit):
+    # the first profile over the tuple cap is the same in both searches
+    monkeypatch.setattr("monoidkit.words.MAX_PROFILE_TUPLES", limit)
+    M, g = fx["b21"]
+    with pytest.raises(CapExceeded) as new:
+        build_expansion(M, g, 3)
+    with pytest.raises(CapExceeded) as old:
+        build_expansion_spread(M, g, 3)
+    assert (str(new.value), new.value.count) == (str(old.value), old.value.count)
+
+
+def test_each_profile_is_spread_once(monkeypatch, cat):
+    calls = []
+
+    def counting_spread(*args):
+        calls.append(1)
+        return _spread(*args)
+
+    monkeypatch.setattr("monoidkit.expansion._spread", counting_spread)
+    for name, (M, g) in cat.items():
+        calls.clear()
+        E = build_expansion(M, g, 3)
+        assert len(calls) == E.order, name
 
 
 def _last_nonidentity(t, e):

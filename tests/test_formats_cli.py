@@ -385,6 +385,12 @@ def test_cli_input_errors_exit_2(tmp_path, capsys):
     assert code == 2
     code, _, err = run(["nonsense"], capsys)
     assert code == 2
+    # an exponent past int()'s 4300-digit limit
+    code, out, err = run(["shadow", FIXDIR / "Z2.mon", "--map", "a=g",
+                          "--alphas", "a^" + "9" * 5000, "--ideals", "a"], capsys)
+    assert code == 2 and out == ""
+    assert err == ("error: term syntax error at position 2: "
+                   "exponent has too many digits\n")
 
 
 def test_cli_deeply_nested_term_exits_2(capsys):
@@ -396,15 +402,18 @@ def test_cli_deeply_nested_term_exits_2(capsys):
     assert err.count("\n") == 1
 
 
-def test_cli_huge_cut_profile_exits_2(capsys):
-    # 4416325 tuples at n = 100: without the cap this ran for minutes
-    argv = ["cut", FIXDIR / "B21.mon", "-n", "100", "--map", "a=a,b=b", "abab",
-            "--format", "machine"]
+@pytest.mark.parametrize("argv, size", [
+    # without the cap this cut ran for minutes
+    (["cut", FIXDIR / "B21.mon", "-n", "100", "--map", "a=a,b=b", "abab"], 4416325),
+    # the first expansion profile over the cap
+    (["expand", FIXDIR / "B21.mon", "-n", "100", "--gens", "a=a,b=b"], 171700),
+], ids=["cut", "expand"])
+def test_cli_huge_cut_profile_exits_2(capsys, argv, size):
     t0 = time.perf_counter()
-    code, out, err = run(argv, capsys)
+    code, out, err = run(argv + ["--format", "machine"], capsys)
     assert time.perf_counter() - t0 < 1.0
     assert code == 2 and out == ""
-    assert err == "error: cut profile of 4416325 tuples exceeds cap of 100000\n"
+    assert err == f"error: cut profile of {size} tuples exceeds cap of 100000\n"
 
 
 def test_cli_huge_tgen_degree_exits_2(tmp_path, capsys):

@@ -58,6 +58,12 @@ def mutate(rng: random.Random, text: str, kinds: int = 7) -> str:
     return text
 
 
+def huge_exponent(rng: random.Random, term: str) -> str:
+    """Raise the term to an exponent of about 4300 digits, on either side
+    of the longest numeral int() reads."""
+    return f"({term})^" + "9" * rng.randint(4200, 4400)
+
+
 def mutate_entries(rng: random.Random, text: str) -> str:
     """Set one or two table entries of a canonical .mon text to element
     names, so the table parses and meets the associativity check."""
@@ -91,9 +97,12 @@ def cases(rng: random.Random, tmp: Path):
             else:
                 cmd = rng.choice(("info", "greens", "shadow"))
                 yield [cmd, str(path)], text
-    for _ in range(4 * CASES_PER_FILE):
+    for k in range(4 * CASES_PER_FILE):
         terms = [rng.choice(TERMS) for _ in range(4)]
         terms = [mutate(rng, t, 4) if rng.random() < 0.5 else t for t in terms]
+        if k % 8 == 7:
+            i = rng.randrange(4)
+            terms[i] = huge_exponent(rng, terms[i])
         alphas, ideals = ";".join(terms[:2]), "|".join(terms[2:])
         name, gens = rng.choice((("B21", "a=a,b=b"), ("N3", "a=a,b=0")))
         argv = ["shadow", str(FIXDIR / f"{name}.mon"), "--map", gens,

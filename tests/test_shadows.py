@@ -30,7 +30,8 @@ def test_parse_whitespace_and_nesting():
 
 
 @pytest.mark.parametrize("text", ["", "a^0", "(ab", "a)", "^2", "a^", "a^x", "2a", "()",
-                                  "a^\u00b2"])
+                                  "a^\u00b2",
+                                  pytest.param("a^" + "9" * 5000, id="a^<5000 nines>")])
 def test_parse_errors(text):
     with pytest.raises(InputError):
         parse_term(text)
