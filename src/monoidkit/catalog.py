@@ -2,17 +2,8 @@
 
 from __future__ import annotations
 
-from .monoid import FiniteMonoid, GeneratorMap, generator_map
-
-
-def _from_maps(names: tuple[str, ...], maps: tuple[tuple[int, ...], ...]) -> FiniteMonoid:
-    index = {m: i for i, m in enumerate(maps)}
-    deg = range(len(maps[0]))
-    table = tuple(
-        tuple(index[tuple(b[a[p]] for p in deg)] for b in maps) for a in maps)
-    M = FiniteMonoid(names, 0, table)
-    M.validate()
-    return M
+from .monoid import (FiniteMonoid, GeneratorMap, generate_from_transformations,
+                     generator_map)
 
 
 def trivial() -> FiniteMonoid:
@@ -40,7 +31,9 @@ def flipflop() -> FiniteMonoid:
 
 def t2() -> FiniteMonoid:
     """All four transformations of a two-point set."""
-    return _from_maps(("1", "s", "c1", "c2"), ((0, 1), (1, 0), (0, 0), (1, 1)))
+    # an explicit cap, so the catalog never reads MONO_CAP
+    return generate_from_transformations(
+        2, {"s": (1, 0), "c1": (0, 0), "c2": (1, 1)}, cap=4)[0]
 
 
 def b21() -> FiniteMonoid:

@@ -212,7 +212,7 @@ def _cmd_lemma(args) -> tuple[dict[str, str], int]:
     vs = _split_words(args.v)
     witness = lemma_factor(us, vs)
     fields = {
-        "input": _digest(f"{args.u}|{args.v}".encode("utf-8")),
+        "input": _digest(f"{args.u}|{args.v}".encode("utf-8", "surrogateescape")),
         "u_parts": args.u,
         "v_parts": args.v,
         "i": str(witness.i),
@@ -421,6 +421,8 @@ def cli_dispatch(argv) -> int:
     elapsed = (time.perf_counter() - t0) * 1000
     report = Report(args.command, fields)
     out = report.machine() if args.format == "machine" else report.human(elapsed)
+    # argv bytes that are not UTF-8 are echoed as \xNN, so stdout stays UTF-8
+    out = out.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
     sys.stdout.write(out)
     return code
 

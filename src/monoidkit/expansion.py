@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 
 from .monoid import (CapExceeded, FiniteMonoid, GeneratorMap, InputError,
-                     configured_cap)
+                     _cayley_table, configured_cap)
 from .words import CutProfile, _spread, _squeeze, _step
 
 DEFAULT_PROFILE_CAP = 20_000
@@ -106,12 +106,10 @@ def build_expansion(
     shortlex-least words.  A non-generating map is fine: the result is the
     expansion of the generated submonoid.
 
-    The search records the right Cayley graph (``right[k][i]`` is the
-    index of profile i times letter k) and, for each profile, the
+    The search records the right Cayley graph and, for each profile, the
     (parent, letter) step of its representative.  Profile equality is a
-    congruence, so the table follows without any profile products:
-    ``p * q = (p * parent(q)) * letter(q)``, and ``parent(q) < q``
-    (Froidure & Pin, "Algorithms for computing finite semigroups", 1997).
+    congruence, so `_cayley_table` reads the table off that graph without
+    any profile products.
     """
     if n < 1:
         raise InputError("arity must be >= 1")
@@ -159,12 +157,8 @@ def build_expansion(
 
     # every sequence of a profile multiplies to the same image
     eta = tuple(reduce(M.mul, next(iter(s)), M.identity) for s in seqs)
-    # columns[q][p] = p * q, so each column is one lookup per row
-    columns = [range(len(profiles))]
-    for q in range(1, len(profiles)):
-        columns.append(list(map(right[last[q]].__getitem__, columns[parent[q]])))
-    table = tuple(zip(*columns))
-    return ExpandedMonoid(M, g, n, tuple(profiles), table, eta, tuple(words))
+    return ExpandedMonoid(M, g, n, tuple(profiles), _cayley_table(right, parent, last),
+                          eta, tuple(words))
 
 
 def check_eta_aperiodic(E: ExpandedMonoid) -> tuple[bool, tuple[int, int] | None]:

@@ -221,6 +221,19 @@ def generator_map(M: FiniteMonoid, mapping: Mapping[str, int]) -> GeneratorMap:
     return GeneratorMap(letters, images, tuple(sorted(seen)))
 
 
+def _cayley_table(right, parent, last) -> tuple[tuple[int, ...], ...]:
+    """The table of a monoid searched breadth first from its identity (0):
+    ``right[k][i]`` is element i times generator k, and q > 0 was first
+    reached as ``parent[q] < q`` times generator ``last[q]``.  Since
+    ``p * q = (p * parent(q)) * last(q)``, each column is an earlier one
+    mapped through ``right``, one lookup per entry and no element products
+    (Froidure & Pin, "Algorithms for computing finite semigroups", 1997)."""
+    columns = [range(len(parent))]  # columns[q][p] = p * q
+    for q in range(1, len(parent)):
+        columns.append(list(map(right[last[q]].__getitem__, columns[parent[q]])))
+    return tuple(zip(*columns))
+
+
 def generate_from_transformations(
     degree: int,
     gens: Mapping[str, Sequence[int]],
@@ -229,8 +242,8 @@ def generate_from_transformations(
     """Close named maps on {0..degree-1} under composition, identity adjoined.
 
     Elements are ordered by shortlex-first generator word (generators in the
-    given order) and each records that word.  Returns the monoid together
-    with the name -> element generator map.
+    given order), each records that word, and `_cayley_table` reads the
+    table off the search.  Returns the monoid and the generator map.
     """
     if degree < 1:
         raise InputError("degree must be >= 1")
@@ -245,12 +258,12 @@ def generate_from_transformations(
     ident = tuple(range(degree))
     elems = [ident]
     words = [""]
+    parent, last = [0], [0]
+    right: list[list[int]] = [[] for _ in items]
     index = {ident: 0}
-    pos = 0
-    while pos < len(elems):
-        base = elems[pos]
-        for name, m in items:
-            nxt = tuple(m[base[p]] for p in range(degree))
+    for pos, base in enumerate(elems):  # a queue: new elements join its end
+        for k, (name, m) in enumerate(items):
+            nxt = tuple(map(m.__getitem__, base))
             if nxt not in index:
                 if len(elems) >= cap:
                     raise CapExceeded(
@@ -259,16 +272,14 @@ def generate_from_transformations(
                 index[nxt] = len(elems)
                 elems.append(nxt)
                 words.append(words[pos] + name)
-        pos += 1
+                parent.append(pos)
+                last.append(k)
+            right[k].append(index[nxt])
     names = tuple("1" if w == "" else w for w in words)
     if len(set(names)) != len(names):
         raise InputError("generator words collide as element names; rename generators")
-    table = tuple(
-        tuple(index[tuple(b[a[p]] for p in range(degree))] for b in elems)
-        for a in elems)
-    M = FiniteMonoid(names, 0, table, words=tuple(words))
-    gm = generator_map(M, {name: index[m] for name, m in items})
-    return M, gm
+    M = FiniteMonoid(names, 0, _cayley_table(right, parent, last), words=tuple(words))
+    return M, generator_map(M, {name: index[m] for name, m in items})
 
 
 @dataclass(frozen=True)

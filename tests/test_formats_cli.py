@@ -235,6 +235,20 @@ def test_cli_lemma_golden(capsys):
     )
 
 
+def test_cli_lemma_digests_non_utf8_argv_bytes():
+    # argv bytes reach the CLI as lone surrogates; the digest is of the bytes,
+    # and the report, echoing them as \xNN, encodes on a strict UTF-8 stdout
+    proc = subprocess.run(
+        [sys.executable, "-m", "monoidkit.cli", "lemma", "--u", b"\xff",
+         "--v", b"\xff", "--format", "machine"], capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(SRCDIR),
+             "PYTHONIOENCODING": "utf-8:strict"})
+    assert proc.returncode == 0 and proc.stderr == b""
+    d = hashlib.sha256(b"\xff|\xff").hexdigest()[:12]
+    assert f"input={d}\n".encode() in proc.stdout
+    assert b"u_parts=\\xff\n" in proc.stdout
+
+
 def test_cli_shadow_violated_golden(capsys):
     path = FIXDIR / "N3.mon"
     code, out, _ = run(

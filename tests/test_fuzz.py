@@ -1,9 +1,9 @@
-"""Seeded fuzzing of the CLI's input files and term strings.
+"""Seeded fuzzing of the CLI's input files, term strings and part lists.
 
-Each case mutates a shipped fixture (or a term) and runs it through
-`cli_dispatch`.  Whatever the input, the exit code must be 0, 1 or 2, an
-exit 2 must come with exactly one `error:` line on stderr, and no exception
-may escape.  MONO_SEED pins the sample.
+Each case mutates a shipped fixture (or a term, or a `lemma` part list)
+and runs it through `cli_dispatch`.  Whatever the input, the exit code must
+be 0, 1 or 2, an exit 2 must come with exactly one `error:` line on stderr,
+and no exception may escape.  MONO_SEED pins the sample.
 """
 
 import os
@@ -23,6 +23,8 @@ POOL = "01239agbsrcqe \n\t:#^w()|,;-*²é٣"
 
 CASES_PER_FILE = 16
 TERMS = ("a", "a^w", "(ab)^w a", "a^2 b", "(a b^w)^3")
+# what Python makes of a non-UTF-8 argv byte (0xff); argv only, never a file
+ARGV_BYTE = "\udcff"
 
 
 def mutate(rng: random.Random, text: str, kinds: int = 7) -> str:
@@ -77,8 +79,15 @@ def mutate_entries(rng: random.Random, text: str) -> str:
     return "\n".join(lines)
 
 
+def split(rng: random.Random, word: str, parts: int) -> str:
+    """The word cut into the given number of parts, comma-separated."""
+    cuts = sorted(rng.randint(0, len(word)) for _ in range(parts - 1))
+    return ",".join(word[i:j] for i, j in zip([0] + cuts, cuts + [len(word)]))
+
+
 def cases(rng: random.Random, tmp: Path):
-    """(argv, mutated text) pairs: every fixture file, then term strings."""
+    """(argv, mutated text) pairs: every fixture file, then term strings,
+    then lemma part lists."""
     k = 0
     for src in sorted(FIXDIR.iterdir()):
         for _ in range(CASES_PER_FILE):
@@ -108,6 +117,13 @@ def cases(rng: random.Random, tmp: Path):
         argv = ["shadow", str(FIXDIR / f"{name}.mon"), "--map", gens,
                 f"--alphas={alphas}", f"--ideals={ideals}"]
         yield argv, f"{alphas} | {ideals}"
+    for k in range(4 * CASES_PER_FILE):
+        word = "".join(rng.choices(("a", "b", ARGV_BYTE), k=rng.randint(0, 6)))
+        m = rng.randint(1, 3)
+        u, v = split(rng, word, m), split(rng, word, m + rng.randint(0, 2))
+        if k % 2:
+            u, v = mutate(rng, u, 4), mutate(rng, v, 4)
+        yield ["lemma", f"--u={u}", f"--v={v}"], f"{u} | {v}"
 
 
 def test_mutated_inputs_keep_the_exit_code_contract(tmp_path, capsys):

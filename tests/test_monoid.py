@@ -7,23 +7,28 @@ from pathlib import Path
 import pytest
 
 import monoidkit.cli
+import monoidkit.formats
 import monoidkit.monoid
 from monoidkit import (CapExceeded, InputError, build_expansion,
-                       generate_from_transformations, generator_map, greens,
-                       ideal_generated, is_aperiodic, is_group_element, is_ideal,
-                       is_regular, load_table)
+                       dfa_to_transition_monoid, generate_from_transformations,
+                       generator_map, greens, ideal_generated, is_aperiodic,
+                       is_group_element, is_ideal, is_regular, load_table,
+                       parse_dfa, parse_tgen)
 from monoidkit.catalog import (b21, catalog, fixtures, flipflop, n3, t2, trivial,
                                z2, z3)
 from monoidkit.cli import cli_dispatch
-from monoidkit.monoid import FiniteMonoid, GreensData, _classify, configured_cap
+from monoidkit.monoid import (DEFAULT_ELEMENT_CAP, FiniteMonoid, GreensData,
+                              _check_name, _classify, configured_cap)
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
+# cycle, transposition and collapse on 3 and 4 points
+T3_GENS = {"c": (1, 2, 0), "t": (1, 0, 2), "e": (0, 0, 2)}
+T4_GENS = {"c": (1, 2, 3, 0), "t": (1, 0, 2, 3), "k": (0, 0, 2, 3)}
 
 
 def t3():
     """The full transformation monoid on 3 points (27 elements)."""
-    M, _ = generate_from_transformations(
-        3, {"c": (1, 2, 0), "t": (1, 0, 2), "e": (0, 0, 2)})
+    M, _ = generate_from_transformations(3, T3_GENS)
     return M
 
 
@@ -36,6 +41,48 @@ def oracle_monoids():
         for n in (1, 2, 3):
             out[f"{name}@{n}"] = build_expansion(M, g, n).as_monoid()
     return out
+
+
+def generate_pairwise(degree, gens, cap=None):
+    """Oracle: the transformation closure with its table built by composing
+    every pair of elements, O(order^2 * degree)."""
+    if degree < 1:
+        raise InputError("degree must be >= 1")
+    items = []
+    for name, m in gens.items():
+        _check_name(name)
+        m = tuple(m)
+        if len(m) != degree or any(not 0 <= v < degree for v in m):
+            raise InputError(f"generator {name!r} is not a map on {degree} points")
+        items.append((name, m))
+    cap = configured_cap(DEFAULT_ELEMENT_CAP) if cap is None else cap
+    ident = tuple(range(degree))
+    elems = [ident]
+    words = [""]
+    index = {ident: 0}
+    pos = 0
+    while pos < len(elems):
+        base = elems[pos]
+        for name, m in items:
+            nxt = tuple(m[base[p]] for p in range(degree))
+            if nxt not in index:
+                if len(elems) >= cap:
+                    raise CapExceeded(
+                        f"transformation closure exceeded cap of {cap} elements",
+                        len(elems))
+                index[nxt] = len(elems)
+                elems.append(nxt)
+                words.append(words[pos] + name)
+        pos += 1
+    names = tuple("1" if w == "" else w for w in words)
+    if len(set(names)) != len(names):
+        raise InputError("generator words collide as element names; rename generators")
+    table = tuple(
+        tuple(index[tuple(b[a[p]] for p in range(degree))] for b in elems)
+        for a in elems)
+    M = FiniteMonoid(names, 0, table, words=tuple(words))
+    gm = generator_map(M, {name: index[m] for name, m in items})
+    return M, gm
 
 
 def greens_brute(M):
@@ -204,6 +251,68 @@ def test_generate_two_constants_gives_flipflop():
 def test_generate_cap():
     with pytest.raises(CapExceeded):
         generate_from_transformations(2, {"s": (0, 0), "r": (1, 1)}, cap=2)
+
+
+def closure_cases(monkeypatch):
+    """(degree, gens) of every shipped .tgen and .dfa, T3, T4, a 52-element
+    monoid of degree 4, and MONO_SEED-seeded random maps of degree 1..4."""
+    seen = []
+
+    def record(degree, gens):
+        seen.append((degree, dict(gens)))
+        return generate_from_transformations(degree, gens)
+
+    monkeypatch.setattr(monoidkit.formats, "generate_from_transformations", record)
+    for path in sorted(FIXDIR.glob("*.tgen")):
+        parse_tgen(path.read_text())
+    for path in sorted(FIXDIR.glob("*.dfa")):
+        dfa_to_transition_monoid(parse_dfa(path.read_text()))
+    assert len(seen) == 3
+    cases = seen + [(3, T3_GENS), (4, T4_GENS),
+                    (4, {"a": (1, 2, 0, 1), "b": (3, 1, 0, 1)})]
+    rng = random.Random(int(os.environ.get("MONO_SEED", "0")))
+    for _ in range(40):
+        degree = rng.randint(1, 4)
+        gens = {name: tuple(rng.randrange(degree) for _ in range(degree))
+                for name in "xyz"[:rng.randint(0, 3)]}
+        cases.append((degree, gens))
+    return cases
+
+
+def test_closure_matches_pairwise_oracle(monkeypatch):
+    orders = []
+    for degree, gens in closure_cases(monkeypatch):
+        M, g = generate_from_transformations(degree, gens)
+        M_ref, g_ref = generate_pairwise(degree, gens)
+        assert M.names == M_ref.names and M.words == M_ref.words, (degree, gens)
+        assert M.table == M_ref.table, (degree, gens)
+        assert M == M_ref and g == g_ref
+        orders.append(M.order)
+    assert orders[3:6] == [27, 256, 52]
+
+
+def closure_outcome(closure, degree, gens, cap):
+    try:
+        return closure(degree, gens, cap=cap)
+    except CapExceeded as exc:
+        return str(exc), exc.count
+
+
+@pytest.mark.parametrize("cap", [1, 2, 5, 26, 27, 100, 255, 256])
+def test_closure_cap_stops_where_the_pairwise_oracle_does(cap):
+    for degree, gens, order in ((3, T3_GENS, 27), (4, T4_GENS, 256)):
+        got = closure_outcome(generate_from_transformations, degree, gens, cap)
+        assert got == closure_outcome(generate_pairwise, degree, gens, cap)
+        if cap < order:
+            assert got == (
+                f"transformation closure exceeded cap of {cap} elements", cap)
+        else:
+            assert got[0].order == order
+
+
+def test_catalog_ignores_mono_cap(monkeypatch):
+    monkeypatch.setenv("MONO_CAP", "1")
+    assert fixtures()["t2"][0].order == 4
 
 
 def test_generate_rejects_bad_map():
