@@ -13,8 +13,6 @@ import argparse
 import hashlib
 import sys
 import time
-from dataclasses import dataclass
-from pathlib import Path
 
 from .expansion import ExpandedMonoid, build_expansion, check_eta_aperiodic
 from .formats import (dfa_to_transition_monoid, load_table, parse_dfa,
@@ -28,33 +26,29 @@ from .shadows import (ProfileMismatch, group_element_shadow,
 from .words import CutProfile, cut, lemma_factor, word_image
 
 
-@dataclass
-class Report:
-    command: str
-    fields: dict[str, str]
-
-    def machine(self) -> str:
-        items = {"command": self.command, **self.fields}
-        return "".join(f"{k}={items[k]}\n" for k in sorted(items))
-
-    def human(self, elapsed_ms: float) -> str:
-        lines = [f"mono {self.command}"]
-        lines += [f"  {k}: {v}" for k, v in self.fields.items()]
-        lines.append(f"  elapsed: {elapsed_ms:.1f} ms")
-        return "\n".join(lines) + "\n"
-
-
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:12]
 
 
-def _read(path: str) -> tuple[str, str]:
-    data = Path(path).read_bytes()
+def _read(path: str) -> tuple[str, dict[str, str]]:
+    """The file's text, and the report fields it starts: its digest."""
+    with open(path, "rb") as f:
+        data = f.read()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
-    return text, _digest(data)
+    return text, {"input": _digest(data)}
+
+
+def _load(path: str) -> tuple[FiniteMonoid, dict[str, str]]:
+    text, fields = _read(path)
+    return load_table(text), fields
+
+
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text)
 
 
 def _bool(b: bool) -> str:
@@ -88,16 +82,10 @@ def _parse_map(M: FiniteMonoid, text: str) -> GeneratorMap:
     return generator_map(M, mapping)
 
 
-def _split_words(text: str) -> tuple[str, ...]:
-    return tuple(text.split(","))
-
-
 def _cmd_info(args) -> tuple[dict[str, str], int]:
-    text, digest = _read(args.file)
-    M = load_table(text)
+    M, fields = _load(args.file)
     aper, witness = is_aperiodic(M)
-    fields = {
-        "input": digest,
+    fields |= {
         "order": str(M.order),
         "identity": M.names[M.identity],
         "aperiodic": _bool(aper),
@@ -112,8 +100,7 @@ def _cmd_info(args) -> tuple[dict[str, str], int]:
 
 
 def _cmd_greens(args) -> tuple[dict[str, str], int]:
-    text, digest = _read(args.file)
-    M = load_table(text)
+    M, fields = _load(args.file)
     gd = greens(M)
 
     def classes(cs) -> str:
@@ -124,8 +111,7 @@ def _cmd_greens(args) -> tuple[dict[str, str], int]:
         for a in range(len(gd.j_classes))
         for b in range(len(gd.j_classes))
         if a != b and gd.j_leq[a][b])
-    fields = {
-        "input": digest,
+    fields |= {
         "r_classes": classes(gd.r_classes),
         "l_classes": classes(gd.l_classes),
         "j_classes": classes(gd.j_classes),
@@ -136,13 +122,11 @@ def _cmd_greens(args) -> tuple[dict[str, str], int]:
 
 
 def _cmd_ideal(args) -> tuple[dict[str, str], int]:
-    text, digest = _read(args.file)
-    M = load_table(text)
+    M, fields = _load(args.file)
     gens = [M.element(nm) for nm in args.elements]
     ideal = ideal_generated(M, gens)
     prime, witness = is_prime_ideal(M, ideal)
-    fields = {
-        "input": digest,
+    fields |= {
         "generators": _names(M, gens),
         "ideal": _names(M, ideal),
         "idempotent": _bool(is_idempotent_ideal(M, ideal)),
@@ -154,12 +138,10 @@ def _cmd_ideal(args) -> tuple[dict[str, str], int]:
 
 
 def _cmd_cut(args) -> tuple[dict[str, str], int]:
-    text, digest = _read(args.file)
-    M = load_table(text)
+    M, fields = _load(args.file)
     g = _parse_map(M, args.map)
     profile = cut(M, g, args.word, args.n)
-    fields = {
-        "input": digest,
+    fields |= {
         "word": args.word,
         "n": str(args.n),
         "image": M.names[word_image(M, g, args.word)],
@@ -170,23 +152,18 @@ def _cmd_cut(args) -> tuple[dict[str, str], int]:
 
 
 def _expansion_sidecar(E: ExpandedMonoid) -> str:
-    lines = []
-    for i in range(E.order):
-        lines.append(
-            f"P{i} eta={E.base.names[E.eta[i]]} rep={E.representatives[i]} "
-            f"profile={_profile(E.base, E.profiles[i])}")
-    return "\n".join(lines) + "\n"
+    return "".join(
+        f"P{i} eta={E.base.names[E.eta[i]]} rep={E.representatives[i]} "
+        f"profile={_profile(E.base, E.profiles[i])}\n" for i in range(E.order))
 
 
 def _cmd_expand(args) -> tuple[dict[str, str], int]:
-    text, digest = _read(args.file)
-    M = load_table(text)
+    M, fields = _load(args.file)
     g = _parse_map(M, args.gens)
     E = build_expansion(M, g, args.n)
     aper, witness = check_eta_aperiodic(E)
     fibers = [(e, len(E.fiber(e))) for e in sorted(set(E.eta))]
-    fields = {
-        "input": digest,
+    fields |= {
         "n": str(args.n),
         "base_order": str(M.order),
         "order": str(E.order),
@@ -201,16 +178,14 @@ def _cmd_expand(args) -> tuple[dict[str, str], int]:
             f"P{i}:" + ",".join(f"P{v}" for v in row)
             for i, row in enumerate(E.table))
     if args.out:
-        Path(args.out).write_text(serialize_monoid(E.as_monoid()), encoding="utf-8")
-        Path(args.out + ".map").write_text(_expansion_sidecar(E), encoding="utf-8")
+        _write(args.out, serialize_monoid(E.as_monoid()))
+        _write(args.out + ".map", _expansion_sidecar(E))
         fields["out"] = args.out
     return fields, 0 if aper else 1
 
 
 def _cmd_lemma(args) -> tuple[dict[str, str], int]:
-    us = _split_words(args.u)
-    vs = _split_words(args.v)
-    witness = lemma_factor(us, vs)
+    witness = lemma_factor(tuple(args.u.split(",")), tuple(args.v.split(",")))
     fields = {
         "input": _digest(f"{args.u}|{args.v}".encode("utf-8", "surrogateescape")),
         "u_parts": args.u,
@@ -223,19 +198,12 @@ def _cmd_lemma(args) -> tuple[dict[str, str], int]:
 
 
 def _cmd_replay(args) -> tuple[dict[str, str], int]:
-    text, digest = _read(args.file)
-    M = load_table(text)
+    M, fields = _load(args.file)
     g = _parse_map(M, args.map)
-    us = _split_words(args.u)
-    ws = _split_words(args.w)
-    fields = {
-        "input": digest,
-        "n": str(args.n),
-        "u_parts": args.u,
-        "w_parts": args.w,
-    }
+    fields |= {"n": str(args.n), "u_parts": args.u, "w_parts": args.w}
     try:
-        result = replay_factorization(M, g, args.n, us, ws)
+        result = replay_factorization(M, g, args.n, tuple(args.u.split(",")),
+                                      tuple(args.w.split(",")))
     except ProfileMismatch as exc:
         fields["hypothesis"] = "false"
         fields["reason"] = str(exc)
@@ -252,9 +220,7 @@ def _cmd_replay(args) -> tuple[dict[str, str], int]:
 
 
 def _cmd_shadow(args) -> tuple[dict[str, str], int]:
-    text, digest = _read(args.file)
-    M = load_table(text)
-    fields = {"input": digest}
+    M, fields = _load(args.file)
     if args.alphas is None and args.ideals is None:
         sweep = group_element_shadow(M)
         fields["mode"] = "group_element"
@@ -292,39 +258,31 @@ def _cmd_shadow(args) -> tuple[dict[str, str], int]:
     return fields, 0 if verdict.verdict == "holds" else 1
 
 
-def _letter_images(M: FiniteMonoid, g: GeneratorMap) -> str:
-    return ",".join(f"{a}:{M.names[x]}" for a, x in zip(g.alphabet, g.images))
+def _from_report(M: FiniteMonoid, g: GeneratorMap, fields: dict[str, str],
+                 out: str | None) -> tuple[dict[str, str], int]:
+    """The report of `from-dfa`/`from-tgen`, writing M to `out` if given."""
+    fields["order"] = str(M.order)
+    fields["letter_images"] = ",".join(
+        f"{a}:{M.names[x]}" for a, x in zip(g.alphabet, g.images))
+    if out:
+        _write(out, serialize_monoid(M))
+        fields["out"] = out
+    return fields, 0
 
 
 def _cmd_from_dfa(args) -> tuple[dict[str, str], int]:
-    text, digest = _read(args.file)
+    text, fields = _read(args.file)
     d = parse_dfa(text)
     M, g = dfa_to_transition_monoid(d)
-    fields = {
-        "input": digest,
-        "states": str(len(d.states)),
-        "letters": ",".join(d.alphabet),
-        "order": str(M.order),
-        "letter_images": _letter_images(M, g),
-    }
-    if args.out:
-        Path(args.out).write_text(serialize_monoid(M), encoding="utf-8")
-        fields["out"] = args.out
-    return fields, 0
+    fields["states"] = str(len(d.states))
+    fields["letters"] = ",".join(d.alphabet)
+    return _from_report(M, g, fields, args.out)
 
 
 def _cmd_from_tgen(args) -> tuple[dict[str, str], int]:
-    text, digest = _read(args.file)
+    text, fields = _read(args.file)
     M, g = parse_tgen(text)
-    fields = {
-        "input": digest,
-        "order": str(M.order),
-        "letter_images": _letter_images(M, g),
-    }
-    if args.out:
-        Path(args.out).write_text(serialize_monoid(M), encoding="utf-8")
-        fields["out"] = args.out
-    return fields, 0
+    return _from_report(M, g, fields, args.out)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -335,75 +293,63 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="mono", description="finite monoid workbench")
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("info", parents=[common],
-                        help="order, aperiodicity, idempotents, minimal ideal")
-    sp.add_argument("file")
-    sp.set_defaults(handler=_cmd_info)
+    def command(name, handler, help, file=True, arity=False):
+        sp = sub.add_parser(name, parents=[common], help=help)
+        if file:
+            sp.add_argument("file")
+        if arity:
+            sp.add_argument("-n", type=int, required=True, help="arity")
+        sp.set_defaults(handler=handler)
+        return sp
 
-    sp = sub.add_parser("greens", parents=[common],
-                        help="Green's relation classes and the J-order")
-    sp.add_argument("file")
-    sp.set_defaults(handler=_cmd_greens)
-
-    sp = sub.add_parser("ideal", parents=[common],
-                        help="generated ideal with idempotency and primality")
-    sp.add_argument("file")
+    letter_map = "letter map a=elem,b=elem"
+    command("info", _cmd_info, "order, aperiodicity, idempotents, minimal ideal")
+    command("greens", _cmd_greens, "Green's relation classes and the J-order")
+    sp = command("ideal", _cmd_ideal, "generated ideal with idempotency and primality")
     sp.add_argument("elements", nargs="+", help="generator element names")
-    sp.set_defaults(handler=_cmd_ideal)
 
-    sp = sub.add_parser("cut", parents=[common],
-                        help="cut profile of a word at a given arity")
-    sp.add_argument("file")
-    sp.add_argument("-n", type=int, required=True, help="arity")
-    sp.add_argument("--map", required=True, help="letter map a=elem,b=elem")
+    sp = command("cut", _cmd_cut, "cut profile of a word at a given arity",
+                 arity=True)
+    sp.add_argument("--map", required=True, help=letter_map)
     sp.add_argument("word")
-    sp.set_defaults(handler=_cmd_cut)
 
-    sp = sub.add_parser("expand", parents=[common],
-                        help="build the cut-profile expansion")
-    sp.add_argument("file")
-    sp.add_argument("-n", type=int, required=True, help="arity")
-    sp.add_argument("--gens", required=True, help="letter map a=elem,b=elem")
+    sp = command("expand", _cmd_expand, "build the cut-profile expansion",
+                 arity=True)
+    sp.add_argument("--gens", required=True, help=letter_map)
     sp.add_argument("-o", "--out", help="write the expansion as .mon plus sidecar")
     sp.add_argument("--table", action="store_true", help="include the full table")
-    sp.set_defaults(handler=_cmd_expand)
 
-    sp = sub.add_parser("lemma", parents=[common],
-                        help="locate a part of one factorization inside another")
+    sp = command("lemma", _cmd_lemma,
+                 "locate a part of one factorization inside another", file=False)
     sp.add_argument("--u", required=True, help="comma-separated u parts")
     sp.add_argument("--v", required=True, help="comma-separated v parts")
-    sp.set_defaults(handler=_cmd_lemma)
 
-    sp = sub.add_parser("replay", parents=[common],
-                        help="re-factor matching part images and locate a factor")
-    sp.add_argument("file")
-    sp.add_argument("-n", type=int, required=True, help="arity")
-    sp.add_argument("--map", required=True, help="letter map a=elem,b=elem")
+    sp = command("replay", _cmd_replay,
+                 "re-factor matching part images and locate a factor", arity=True)
+    sp.add_argument("--map", required=True, help=letter_map)
     sp.add_argument("--u", required=True, help="comma-separated u parts")
     sp.add_argument("--w", required=True, help="comma-separated w parts")
-    sp.set_defaults(handler=_cmd_replay)
 
-    sp = sub.add_parser("shadow", parents=[common],
-                        help="finite shadow checks (stability sweep, or "
-                             "ideal-product membership with --alphas/--ideals)")
-    sp.add_argument("file")
-    sp.add_argument("--map", help="letter map a=elem,b=elem")
+    sp = command("shadow", _cmd_shadow,
+                 "finite shadow checks (stability sweep, or "
+                 "ideal-product membership with --alphas/--ideals)")
+    sp.add_argument("--map", help=letter_map)
     sp.add_argument("--alphas", help="';'-separated omega terms")
     sp.add_argument("--ideals", help="'|'-separated ideals, ',' between generators")
-    sp.set_defaults(handler=_cmd_shadow)
 
-    sp = sub.add_parser("from-dfa", parents=[common],
-                        help="transition monoid of a .dfa file")
-    sp.add_argument("file")
-    sp.add_argument("-o", "--out", help="write the monoid as .mon")
-    sp.set_defaults(handler=_cmd_from_dfa)
-
-    sp = sub.add_parser("from-tgen", parents=[common],
-                        help="transformation monoid generated by a .tgen file")
-    sp.add_argument("file")
-    sp.add_argument("-o", "--out", help="write the monoid as .mon")
-    sp.set_defaults(handler=_cmd_from_tgen)
+    for name, handler, help in (
+            ("from-dfa", _cmd_from_dfa, "transition monoid of a .dfa file"),
+            ("from-tgen", _cmd_from_tgen,
+             "transformation monoid generated by a .tgen file")):
+        command(name, handler, help).add_argument(
+            "-o", "--out", help="write the monoid as .mon")
     return p
+
+
+def _emit(stream, text: str) -> None:
+    # argv bytes that are not UTF-8 are echoed as \xNN, so the text stays UTF-8
+    stream.write(text.encode("utf-8", "surrogateescape")
+                 .decode("utf-8", "backslashreplace"))
 
 
 def cli_dispatch(argv) -> int:
@@ -416,14 +362,17 @@ def cli_dispatch(argv) -> int:
     try:
         fields, code = args.handler(args)
     except (InputError, CapExceeded, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _emit(sys.stderr, f"error: {exc}\n")
         return 2
     elapsed = (time.perf_counter() - t0) * 1000
-    report = Report(args.command, fields)
-    out = report.machine() if args.format == "machine" else report.human(elapsed)
-    # argv bytes that are not UTF-8 are echoed as \xNN, so stdout stays UTF-8
-    out = out.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
-    sys.stdout.write(out)
+    if args.format == "machine":
+        fields["command"] = args.command
+        out = "".join(f"{k}={fields[k]}\n" for k in sorted(fields))
+    else:
+        out = "".join([f"mono {args.command}\n",
+                       *(f"  {k}: {v}\n" for k, v in fields.items()),
+                       f"  elapsed: {elapsed:.1f} ms\n"])
+    _emit(sys.stdout, out)
     return code
 
 

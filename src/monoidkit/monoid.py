@@ -8,9 +8,9 @@ this module is safe to share between threads.
 from __future__ import annotations
 
 import os
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Mapping, Sequence
 
 DEFAULT_ELEMENT_CAP = 512
 
@@ -368,9 +368,10 @@ def ideal_generated(M: FiniteMonoid, gens: Iterable[int]) -> tuple[int, ...]:
     if not gens:
         raise InputError("ideal needs at least one generator")
     t = M.table
-    rng = range(M.order)
-    out = {t[t[x][a]][y] for a in gens for x in rng for y in rng}
-    return tuple(sorted(out))
+    # M*(gens*M): the right ideal gens*M is a union of rows, then one lookup
+    # per (x, r), as in greens' J-ideals
+    right = set().union(*(t[a] for a in gens))
+    return tuple(sorted({row[r] for row in t for r in right}))
 
 
 def ideal_product(M: FiniteMonoid, I: Iterable[int], J: Iterable[int]) -> tuple[int, ...]:

@@ -10,9 +10,9 @@ including honest failures.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import reduce
-from typing import Sequence
 
 from .formats import _numeral
 from .monoid import (FiniteMonoid, GeneratorMap, InputError, ideal_generated,

@@ -6,10 +6,10 @@ allowed everywhere and evaluate to the identity.
 
 from __future__ import annotations
 
+from collections.abc import Collection, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from math import comb
-from typing import Collection, Iterable, Iterator, Sequence
 
 from .monoid import CapExceeded, FiniteMonoid, GeneratorMap, InputError
 

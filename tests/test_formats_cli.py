@@ -1,4 +1,6 @@
+import argparse
 import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -10,7 +12,7 @@ import pytest
 from monoidkit import (InputError, dfa_to_transition_monoid, load_table,
                        parse_dfa, parse_tgen, serialize_monoid)
 from monoidkit.catalog import b21, flipflop, n3, t2, trivial, z2, z3
-from monoidkit.cli import cli_dispatch
+from monoidkit.cli import _build_parser, cli_dispatch
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
 SRCDIR = Path(__file__).resolve().parent.parent / "src"
@@ -407,6 +409,19 @@ def test_cli_input_errors_exit_2(tmp_path, capsys):
                    "exponent has too many digits\n")
 
 
+def test_cli_error_line_escapes_non_utf8_argv_bytes(tmp_path, monkeypatch):
+    # the file name's \xff byte reaches argv as a lone surrogate; the error
+    # line echoes it as \xNN, so it encodes on a strict UTF-8 stderr
+    bad = tmp_path / "bad\udcff.mon"
+    bad.write_bytes(b"elements: 1\xff\nidentity: 1\ntable:\n1\n")
+    stderr = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="strict")
+    monkeypatch.setattr(sys, "stderr", stderr)
+    assert cli_dispatch(["info", str(bad)]) == 2
+    stderr.flush()
+    assert stderr.buffer.getvalue() == (
+        f"error: {tmp_path}/bad\\xff.mon: not valid UTF-8 at byte 11\n".encode())
+
+
 def test_cli_deeply_nested_term_exits_2(capsys):
     term = "(" * 5000 + "a" + ")" * 5000
     code, out, err = run(["shadow", FIXDIR / "Z2.mon", "--map", "a=g",
@@ -460,11 +475,68 @@ def test_cli_removed_flags_are_rejected(capsys):
 
 
 def test_cli_import_loads_no_thread_machinery():
+    # nor pathlib and typing, which pull in urllib.parse, ipaddress and fnmatch
+    forbidden = {"concurrent.futures", "threading", "pathlib", "typing",
+                 "urllib.parse", "ipaddress", "fnmatch"}
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); import monoidkit.cli; "
-             "print(sorted({'concurrent.futures', 'threading'} & set(sys.modules)))")
+             f"print(sorted({forbidden!r} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-I", "-S", "-c", probe, str(SRCDIR)],
                          capture_output=True, text=True, check=True).stdout
     assert out == "[]\n"
+
+
+HELP = (("-h", "--help"), False, 0, "show this help message and exit")
+FORMAT = (("--format",), False, None, "output rendering (default human)")
+FILE = ("file", True, None, None)
+ARITY = (("-n",), True, None, "arity")
+LETTER_MAP = "letter map a=elem,b=elem"
+WRITE_MON = (("-o", "--out"), False, None, "write the monoid as .mon")
+# each subcommand's help and its actions as (option strings or dest,
+# required, nargs, help), in the order the parser holds them
+PARSER_SHAPE = {
+    "info": ("order, aperiodicity, idempotents, minimal ideal",
+             [HELP, FORMAT, FILE]),
+    "greens": ("Green's relation classes and the J-order", [HELP, FORMAT, FILE]),
+    "ideal": ("generated ideal with idempotency and primality",
+              [HELP, FORMAT, FILE,
+               ("elements", True, "+", "generator element names")]),
+    "cut": ("cut profile of a word at a given arity",
+            [HELP, FORMAT, FILE, ARITY, (("--map",), True, None, LETTER_MAP),
+             ("word", True, None, None)]),
+    "expand": ("build the cut-profile expansion",
+               [HELP, FORMAT, FILE, ARITY, (("--gens",), True, None, LETTER_MAP),
+                (("-o", "--out"), False, None,
+                 "write the expansion as .mon plus sidecar"),
+                (("--table",), False, 0, "include the full table")]),
+    "lemma": ("locate a part of one factorization inside another",
+              [HELP, FORMAT, (("--u",), True, None, "comma-separated u parts"),
+               (("--v",), True, None, "comma-separated v parts")]),
+    "replay": ("re-factor matching part images and locate a factor",
+               [HELP, FORMAT, FILE, ARITY, (("--map",), True, None, LETTER_MAP),
+                (("--u",), True, None, "comma-separated u parts"),
+                (("--w",), True, None, "comma-separated w parts")]),
+    "shadow": ("finite shadow checks (stability sweep, or ideal-product "
+               "membership with --alphas/--ideals)",
+               [HELP, FORMAT, FILE, (("--map",), False, None, LETTER_MAP),
+                (("--alphas",), False, None, "';'-separated omega terms"),
+                (("--ideals",), False, None,
+                 "'|'-separated ideals, ',' between generators")]),
+    "from-dfa": ("transition monoid of a .dfa file", [HELP, FORMAT, FILE, WRITE_MON]),
+    "from-tgen": ("transformation monoid generated by a .tgen file",
+                  [HELP, FORMAT, FILE, WRITE_MON]),
+}
+
+
+def test_cli_parser_shape():
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    shape = {name: (helps[name],
+                    [(tuple(a.option_strings) or a.dest, a.required, a.nargs, a.help)
+                     for a in sp._actions])
+             for name, sp in sub.choices.items()}
+    assert shape == PARSER_SHAPE
+    assert list(shape) == list(PARSER_SHAPE)
 
 
 def test_cli_shadow_flag_validation(capsys):

@@ -133,6 +133,13 @@ def validate_verdict(check, M):
     return None
 
 
+def ideal_generated_brute(M, gens):
+    """Oracle: the ideal as every x*a*y, O(order^2 * |gens|)."""
+    t = M.table
+    rng = range(M.order)
+    return tuple(sorted({t[t[x][a]][y] for a in gens for x in rng for y in rng}))
+
+
 def is_ideal_two_sided(M, S):
     """Oracle: non-empty and closed under x*a*y for all x, y."""
     s = set(S)
@@ -527,6 +534,18 @@ def test_is_ideal_matches_two_sided_oracle(fx):
         I = ideal_generated(M, [a])
         for S in (I, I[1:]):
             assert is_ideal(M, S) == is_ideal_two_sided(M, S)
+
+
+def test_ideal_generated_matches_brute_oracle(oracle_monoids):
+    # every singleton and pair of generators on the fixtures, T3 and the
+    # catalog expansions at n <= 3; every singleton of T4
+    for M in oracle_monoids.values():
+        for k in (1, 2):
+            for gens in combinations(range(M.order), k):
+                assert ideal_generated(M, gens) == ideal_generated_brute(M, gens)
+    M, _ = generate_from_transformations(4, T4_GENS)
+    for a in range(M.order):
+        assert ideal_generated(M, (a,)) == ideal_generated_brute(M, (a,))
 
 
 def test_generator_map_records_generated_submonoid():
