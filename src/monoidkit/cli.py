@@ -285,12 +285,18 @@ def _cmd_from_tgen(args) -> tuple[dict[str, str], int]:
     return _from_report(M, g, fields, args.out)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Escapes help and usage errors like reports; subparsers inherit it."""
+
+    def _print_message(self, message, file=None):
+        super()._print_message(_escape(message), file)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("human", "machine"), default="human",
                         help="output rendering (default human)")
-    p = argparse.ArgumentParser(
-        prog="mono", description="finite monoid workbench")
+    p = _ArgumentParser(prog="mono", description="finite monoid workbench")
     sub = p.add_subparsers(dest="command", required=True)
 
     def command(name, handler, help, file=True, arity=False):
@@ -346,10 +352,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _emit(stream, text: str) -> None:
+def _escape(text: str) -> str:
     # argv bytes that are not UTF-8 are echoed as \xNN, so the text stays UTF-8
-    stream.write(text.encode("utf-8", "surrogateescape")
-                 .decode("utf-8", "backslashreplace"))
+    return (text.encode("utf-8", "surrogateescape")
+            .decode("utf-8", "backslashreplace"))
 
 
 def cli_dispatch(argv) -> int:
@@ -362,7 +368,7 @@ def cli_dispatch(argv) -> int:
     try:
         fields, code = args.handler(args)
     except (InputError, CapExceeded, OSError) as exc:
-        _emit(sys.stderr, f"error: {exc}\n")
+        sys.stderr.write(_escape(f"error: {exc}\n"))
         return 2
     elapsed = (time.perf_counter() - t0) * 1000
     if args.format == "machine":
@@ -372,7 +378,7 @@ def cli_dispatch(argv) -> int:
         out = "".join([f"mono {args.command}\n",
                        *(f"  {k}: {v}\n" for k, v in fields.items()),
                        f"  elapsed: {elapsed:.1f} ms\n"])
-    _emit(sys.stdout, out)
+    sys.stdout.write(_escape(out))
     return code
 
 

@@ -129,18 +129,28 @@ def match_factorization(
     M: FiniteMonoid, g: GeneratorMap, w: str, targets: Sequence[int],
 ) -> tuple[str, ...] | None:
     """The factorization with the least cut vector whose part images equal
-    targets, or None when targets is not in the cut profile."""
+    targets, or None when targets is not in the cut profile.  A backward
+    pass finds where each part may end so the rest still matches; taking
+    the least such end, part by part, gives the least cut vector."""
     targets = tuple(targets)
     n = len(targets)
     if n < 1:
         raise InputError("need at least one target")
     seg = segment_images(M, g, w)
     L = len(w)
-    for cuts in combinations_with_replacement(range(L + 1), n - 1):
-        bounds = (0, *cuts, L)
-        if all(seg[bounds[k]][bounds[k + 1]] == targets[k] for k in range(n)):
-            return tuple(w[bounds[k]:bounds[k + 1]] for k in range(n))
-    return None
+    ends = [[L]]  # ends[k]: where part k may end, parts k+1.. still matching
+    for t in reversed(targets[1:]):
+        ends.append([j for j in range(L + 1)
+                     if any(seg[j][e] == t for e in ends[-1] if e >= j)])
+    ends.reverse()
+    bounds = [0]
+    for k, t in enumerate(targets):
+        j = bounds[-1]
+        e = next((e for e in ends[k] if e >= j and seg[j][e] == t), None)
+        if e is None:
+            return None
+        bounds.append(e)
+    return tuple(w[bounds[k]:bounds[k + 1]] for k in range(n))
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,13 @@
 
 from itertools import product
 
+# cycle, transposition and collapse on 3 and 4 points: the full
+# transformation monoids T3 (27 elements) and T4 (256 elements)
+T3_GENS = {"c": (1, 2, 0), "t": (1, 0, 2), "e": (0, 0, 2)}
+T4_GENS = {"c": (1, 2, 3, 0), "t": (1, 0, 2, 3), "k": (0, 0, 2, 3)}
+# a: 2 3 1 2, b: 4 2 1 2 in .tgen numbering; a 52-element monoid
+M52_GENS = {"a": (1, 2, 0, 1), "b": (3, 1, 0, 1)}
+
 
 def all_words(alphabet="ab", max_len=6):
     for length in range(max_len + 1):

@@ -422,6 +422,17 @@ def test_cli_error_line_escapes_non_utf8_argv_bytes(tmp_path, monkeypatch):
         f"error: {tmp_path}/bad\\xff.mon: not valid UTF-8 at byte 11\n".encode())
 
 
+def test_cli_usage_error_escapes_non_utf8_argv_bytes(monkeypatch):
+    # argparse's own usage error echoes the argument; on a strict UTF-8
+    # stderr the lone surrogate must arrive as \xNN
+    stderr = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="strict")
+    monkeypatch.setattr(sys, "stderr", stderr)
+    assert cli_dispatch(["info", str(FIXDIR / "N3.mon"), "\udcff"]) == 2
+    stderr.flush()
+    err = stderr.buffer.getvalue().decode()
+    assert err.endswith("mono: error: unrecognized arguments: \\xff\n")
+
+
 def test_cli_deeply_nested_term_exits_2(capsys):
     term = "(" * 5000 + "a" + ")" * 5000
     code, out, err = run(["shadow", FIXDIR / "Z2.mon", "--map", "a=g",
@@ -443,6 +454,20 @@ def test_cli_huge_cut_profile_exits_2(capsys, argv, size):
     assert time.perf_counter() - t0 < 1.0
     assert code == 2 and out == ""
     assert err == f"error: cut profile of {size} tuples exceeds cap of 100000\n"
+
+
+def test_cli_long_replay_does_not_hang(capsys):
+    # the shape of the benchmark's Z2 replay jobs at (L, n) = (21, 11): every
+    # w part holds an odd number of a's; enumerating cut vectors in order
+    # would try millions before the first match
+    ws = ["a" * 11] + ["a"] * 10
+    t0 = time.perf_counter()
+    code, out, err = run(["replay", FIXDIR / "Z2.mon", "-n", "11", "--map", "a=g,b=1",
+                          "--u", "aaaa,aaaaa,a,aaaaaa,aaaaa", "--w", ",".join(ws),
+                          "--format", "machine"], capsys)
+    assert time.perf_counter() - t0 < 2
+    assert code == 0 and err == ""
+    assert f"v_parts={','.join(ws[1:] + ws[:1])}\n" in out
 
 
 def test_cli_huge_tgen_degree_exits_2(tmp_path, capsys):

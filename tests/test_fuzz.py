@@ -1,9 +1,9 @@
 """Seeded fuzzing of the CLI's input files, term strings and part lists.
 
-Each case mutates a shipped fixture (or a term, or a `lemma` part list)
-and runs it through `cli_dispatch`.  Whatever the input, the exit code must
-be 0, 1 or 2, an exit 2 must come with exactly one `error:` line on stderr,
-and no exception may escape.  MONO_SEED pins the sample.
+Each case mutates a shipped fixture (or a term, or a `lemma` or `replay`
+part list) and runs it through `cli_dispatch`.  Whatever the input, the
+exit code must be 0, 1 or 2, an exit 2 must come with exactly one `error:`
+line on stderr, and no exception may escape.  MONO_SEED pins the sample.
 """
 
 import os
@@ -87,7 +87,7 @@ def split(rng: random.Random, word: str, parts: int) -> str:
 
 def cases(rng: random.Random, tmp: Path):
     """(argv, mutated text) pairs: every fixture file, then term strings,
-    then lemma part lists."""
+    then lemma part lists, then replay part lists."""
     k = 0
     for src in sorted(FIXDIR.iterdir()):
         for _ in range(CASES_PER_FILE):
@@ -124,6 +124,16 @@ def cases(rng: random.Random, tmp: Path):
         if k % 2:
             u, v = mutate(rng, u, 4), mutate(rng, v, 4)
         yield ["lemma", f"--u={u}", f"--v={v}"], f"{u} | {v}"
+    for k in range(2 * CASES_PER_FILE):
+        name, gens = rng.choice((("Z2", "a=g,b=1"), ("flipflop", "a=s,b=r")))
+        word = "".join(rng.choices("ab", k=rng.randint(0, 8)))
+        n = rng.randint(1, 4)
+        u, w = split(rng, word, rng.randint(1, n)), split(rng, word, n)
+        if k % 2:
+            u, w = mutate(rng, u, 4), mutate(rng, w, 4)
+        argv = ["replay", str(FIXDIR / f"{name}.mon"), "-n", str(n), "--map", gens,
+                f"--u={u}", f"--w={w}"]
+        yield argv, f"{u} | {w}"
 
 
 def test_mutated_inputs_keep_the_exit_code_contract(tmp_path, capsys):

@@ -19,11 +19,9 @@ from monoidkit.catalog import (b21, catalog, fixtures, flipflop, n3, t2, trivial
 from monoidkit.cli import cli_dispatch
 from monoidkit.monoid import (DEFAULT_ELEMENT_CAP, FiniteMonoid, GreensData,
                               _check_name, _classify, configured_cap)
+from helpers import M52_GENS, T3_GENS, T4_GENS
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
-# cycle, transposition and collapse on 3 and 4 points
-T3_GENS = {"c": (1, 2, 0), "t": (1, 0, 2), "e": (0, 0, 2)}
-T4_GENS = {"c": (1, 2, 3, 0), "t": (1, 0, 2, 3), "k": (0, 0, 2, 3)}
 
 
 def t3():
@@ -275,8 +273,7 @@ def closure_cases(monkeypatch):
     for path in sorted(FIXDIR.glob("*.dfa")):
         dfa_to_transition_monoid(parse_dfa(path.read_text()))
     assert len(seen) == 3
-    cases = seen + [(3, T3_GENS), (4, T4_GENS),
-                    (4, {"a": (1, 2, 0, 1), "b": (3, 1, 0, 1)})]
+    cases = seen + [(3, T3_GENS), (4, T4_GENS), (4, M52_GENS)]
     rng = random.Random(int(os.environ.get("MONO_SEED", "0")))
     for _ in range(40):
         degree = rng.randint(1, 4)

@@ -1,13 +1,20 @@
+import os
+import random
+import time
+
 import pytest
 
 from monoidkit import (Concat, InputError, Letter, OmegaPower, Power,
-                       ProfileMismatch, evaluate, generator_map,
+                       ProfileMismatch, StabilitySweep, build_expansion,
+                       evaluate, generate_from_transformations, generator_map,
                        group_element_shadow, ideal_generated,
-                       ideal_product_shadow, parse_term, replay_factorization,
-                       term_text, word_image)
+                       ideal_product_shadow, is_group_element, parse_term,
+                       replay_factorization, term_text, word_image)
 from monoidkit.catalog import flipflop, n3, z2
+from monoidkit.monoid import FiniteMonoid
 from monoidkit.shadows import MAX_TERM_DEPTH
-from helpers import all_words, check_factor_witness
+from helpers import (M52_GENS, T3_GENS, T4_GENS, all_words,
+                     check_factor_witness)
 
 
 def test_parse_examples():
@@ -111,6 +118,75 @@ def test_stability_extends_to_all_multiples(fx):
                     if powers[n] == powers[n + lam]:
                         for k in (2, 3, 4):
                             assert powers[n] == powers[n + k * lam]
+
+
+def group_element_shadow_brute(M: FiniteMonoid) -> StabilitySweep:
+    """The earlier sweep, kept as an oracle: it compares every pair of
+    powers a^n and a^(n+lam) in a list of 2*order+1 powers."""
+    bad = []
+    checked = 0
+    top = 2 * M.order + 1
+    for a in range(M.order):
+        pw = [M.identity]
+        x = M.identity
+        for _ in range(top):
+            x = M.table[x][a]
+            pw.append(x)
+        for nn in range(1, M.order + 2):
+            for lam in range(1, M.order + 1):
+                checked += 1
+                if pw[nn] == pw[nn + lam] and not is_group_element(M, pw[nn]):
+                    bad.append((a, nn, lam))
+    return StabilitySweep(not bad, tuple(bad), checked)
+
+
+def sweep_outcome(sweep, M):
+    """The sweep's result, or the type and text of what it raised."""
+    try:
+        return sweep(M)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def mutated_tables(M, rng, count):
+    """count copies of M with one or two table entries set at random,
+    left unvalidated, so some are not associative and some not monoids."""
+    for _ in range(count):
+        table = [list(row) for row in M.table]
+        for _ in range(rng.randint(1, 2)):
+            table[rng.randrange(M.order)][rng.randrange(M.order)] = (
+                rng.randrange(M.order))
+        yield FiniteMonoid(M.names, M.identity, tuple(map(tuple, table)))
+
+
+def test_sweep_matches_brute_oracle(fx, cat):
+    T3, _ = generate_from_transformations(3, T3_GENS)
+    M52, _ = generate_from_transformations(4, M52_GENS)
+    bases = [M for M, _ in fx.values()] + [T3]
+    cases = bases + [M52]
+    for M, g in cat.values():
+        cases += [build_expansion(M, g, n).as_monoid() for n in (1, 2)]
+    # MONO_SEED pins the mutations
+    rng = random.Random(int(os.environ.get("MONO_SEED", "0")))
+    for M in bases:
+        cases += mutated_tables(M, rng, 60)
+    outcomes = []
+    for M in cases:
+        got = sweep_outcome(group_element_shadow, M)
+        assert got == sweep_outcome(group_element_shadow_brute, M), M.table
+        outcomes.append(got)
+    # the mutations reach both a violated verdict and a raise
+    assert any(isinstance(o, StabilitySweep) and not o.holds for o in outcomes)
+    assert any(isinstance(o, tuple) for o in outcomes)
+
+
+def test_sweep_on_t4_does_not_hang():
+    # the order^3 sweep took about 9 s on a 2-core machine
+    M, _ = generate_from_transformations(4, T4_GENS)
+    t0 = time.perf_counter()
+    sweep = group_element_shadow(M)
+    assert time.perf_counter() - t0 < 2
+    assert sweep == StabilitySweep(True, (), 256 * 256 * 257)
 
 
 def test_membership_violated_example():

@@ -1,14 +1,17 @@
 import math
 import os
 import random
-from itertools import accumulate, product
+import time
+from itertools import accumulate, combinations_with_replacement, product
 
 import pytest
 
 import monoidkit.words
 from monoidkit import (CapExceeded, CutProfile, FactorWitness, InputError, cut,
-                       cut_brute, factorizations, lemma_factor,
-                       match_factorization, word_image, word_profile)
+                       cut_brute, factorizations, generator_map, lemma_factor,
+                       match_factorization, segment_images, word_image,
+                       word_profile)
+from monoidkit.catalog import z2
 from helpers import all_words, check_factor_witness
 
 
@@ -219,3 +222,48 @@ def test_match_iff_in_profile(cat):
                         assert tuple(word_image(M, g, p) for p in got) == targets
                     else:
                         assert got is None
+
+
+def match_factorization_brute(M, g, w, targets):
+    """The earlier match_factorization, kept as an oracle: it tries every
+    cut vector in lexicographic order, C(|w|+n-1, n-1) of them."""
+    targets = tuple(targets)
+    n = len(targets)
+    if n < 1:
+        raise InputError("need at least one target")
+    seg = segment_images(M, g, w)
+    L = len(w)
+    for cuts in combinations_with_replacement(range(L + 1), n - 1):
+        bounds = (0, *cuts, L)
+        if all(seg[bounds[k]][bounds[k + 1]] == targets[k] for k in range(n)):
+            return tuple(w[bounds[k]:bounds[k + 1]] for k in range(n))
+    return None
+
+
+def test_match_factorization_matches_brute_oracle(fx):
+    # up to six targets from each profile and three seeded random ones,
+    # most of them infeasible; MONO_SEED pins the sample
+    rng = random.Random(int(os.environ.get("MONO_SEED", "0")))
+    found = set()
+    for _, (M, g) in fx.items():
+        for w in all_words("ab", 6):
+            for n in (1, 2, 3, 4):
+                profile = sorted(cut(M, g, w, n).tuples)
+                targets = rng.sample(profile, min(len(profile), 6)) + [
+                    tuple(rng.randrange(M.order) for _ in range(n))
+                    for _ in range(3)]
+                for t in targets:
+                    got = match_factorization(M, g, w, t)
+                    assert got == match_factorization_brute(M, g, w, t), (w, t)
+                    found.add(got is None)
+    assert found == {False, True}
+
+
+def test_match_factorization_infeasible_does_not_hang():
+    # 11 parts of odd length cannot make a^22; the enumeration tried all
+    # C(32, 10) cut vectors, about 100 s on a 2-core machine
+    M = z2()
+    g = generator_map(M, {"a": 1})
+    t0 = time.perf_counter()
+    assert match_factorization(M, g, "a" * 22, (1,) * 11) is None
+    assert time.perf_counter() - t0 < 2
