@@ -9,11 +9,10 @@ map eta is a morphism onto the generated submonoid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, reduce
 
 from .monoid import (CapExceeded, FiniteMonoid, GeneratorMap, InputError,
-                     _cayley_table, configured_cap)
+                     Record, _cayley_table, configured_cap)
 from .words import CutProfile, _spread, _squeeze, _step
 
 DEFAULT_PROFILE_CAP = 20_000
@@ -54,8 +53,7 @@ def word_profile(M: FiniteMonoid, g: GeneratorMap, w: str, n: int) -> CutProfile
     return acc
 
 
-@dataclass(frozen=True)
-class ExpandedMonoid:
+class ExpandedMonoid(Record):
     """The monoid of reachable cut profiles, with the projection eta onto
     the base and a shortlex-least representative word per profile."""
 

@@ -5,10 +5,9 @@ comment anywhere."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .monoid import (FiniteMonoid, GeneratorMap, InputError, _check_name,
-                     generate_from_transformations)
+from .monoid import (FiniteMonoid, GeneratorMap, InputError, Record,
+                     _check_name, generate_from_transformations)
 
 MAX_TGEN_DEGREE = 1024
 
@@ -128,8 +127,7 @@ def parse_tgen(text: str) -> tuple[FiniteMonoid, GeneratorMap]:
     return generate_from_transformations(degree, gens)
 
 
-@dataclass(frozen=True)
-class Dfa:
+class Dfa(Record):
     """A complete deterministic automaton; delta[state][letter] is total."""
 
     states: tuple[str, ...]

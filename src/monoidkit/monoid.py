@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import os
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
 from functools import reduce
+from operator import attrgetter
 
 DEFAULT_ELEMENT_CAP = 512
 
@@ -25,6 +25,58 @@ class CapExceeded(RuntimeError):
     def __init__(self, message: str, count: int):
         super().__init__(message)
         self.count = count
+
+
+class Record:
+    """An immutable value: the class's own annotations name its fields, a
+    class attribute gives a field's default.  Records compare equal when
+    they are of the same class with equal fields, hash as the tuple of
+    their fields and print as ``Name(field=value, ...)``, as a frozen
+    dataclass does, without the cost of importing and running
+    ``dataclasses`` at every start.
+
+    Fields are set with ``object.__setattr__`` and read with ``attrgetter``,
+    never through ``self.__dict__``: touching it would turn the instance's
+    inline attribute values into a dict and slow every attribute read.
+    """
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        fields = tuple(cls.__annotations__)
+        cls._fields = fields
+        cls._defaults = {f: cls.__dict__[f] for f in fields if f in cls.__dict__}
+        get = attrgetter(*fields)
+        cls._values = get if len(fields) > 1 else staticmethod(lambda r: (get(r),))
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            bound = {**self._defaults, **dict(zip(fields, args)), **kwargs}
+            if (len(args) > len(fields) or bound.keys() != set(fields)
+                    or not kwargs.keys().isdisjoint(fields[:len(args)])):
+                raise TypeError(f"{type(self).__name__}() takes the fields "
+                                f"{', '.join(fields)}, each once")
+            args = [bound[f] for f in fields]
+        for f, v in zip(fields, args):
+            object.__setattr__(self, f, v)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values(self)))
+        return f"{type(self).__qualname__}({fields})"
 
 
 def configured_cap(default: int) -> int:
@@ -94,8 +146,7 @@ def _light_test(t: tuple[tuple[int, ...], ...]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FiniteMonoid:
+class FiniteMonoid(Record):
     """A monoid given by its full multiplication table.
 
     ``table[x][y]`` is the index of x*y.  ``words`` optionally records a
@@ -183,8 +234,7 @@ class FiniteMonoid:
                     f"{self.names[e]!r} is not an identity (fails at {self.names[x]!r})")
 
 
-@dataclass(frozen=True)
-class GeneratorMap:
+class GeneratorMap(Record):
     """Letters mapped to elements; the submonoid they generate is recorded."""
 
     alphabet: tuple[str, ...]
@@ -282,8 +332,7 @@ def generate_from_transformations(
     return M, generator_map(M, {name: index[m] for name, m in items})
 
 
-@dataclass(frozen=True)
-class GreensData:
+class GreensData(Record):
     """Green's relation partitions (class index per element) and the
     containment order on J-classes."""
 

@@ -11,33 +11,28 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cache, partial, reduce
 
 from .formats import _numeral
-from .monoid import (FiniteMonoid, GeneratorMap, InputError, ideal_generated,
-                     ideal_product, is_group_element)
+from .monoid import (FiniteMonoid, GeneratorMap, InputError, Record,
+                     ideal_generated, ideal_product, is_group_element)
 from .words import FactorWitness, cut, lemma_factor, match_factorization, word_image
 
 
-@dataclass(frozen=True)
-class Letter:
+class Letter(Record):
     symbol: str
 
 
-@dataclass(frozen=True)
-class Concat:
+class Concat(Record):
     parts: tuple["OmegaTerm", ...]
 
 
-@dataclass(frozen=True)
-class Power:
+class Power(Record):
     base: "OmegaTerm"
     exponent: int
 
 
-@dataclass(frozen=True)
-class OmegaPower:
+class OmegaPower(Record):
     base: "OmegaTerm"
 
 
@@ -166,8 +161,7 @@ def evaluate(t: OmegaTerm, M: FiniteMonoid, g: GeneratorMap) -> int:
     raise TypeError(f"not a term: {t!r}")
 
 
-@dataclass(frozen=True)
-class StabilitySweep:
+class StabilitySweep(Record):
     """Result of the power-stability sweep; counterexamples are (a, n, lam),
     and checked counts the (a, n, lam) triples covered, order^2 * (order+1)."""
 
@@ -198,8 +192,7 @@ def group_element_shadow(M: FiniteMonoid) -> StabilitySweep:
     return StabilitySweep(not bad, tuple(bad), M.order * M.order * (M.order + 1))
 
 
-@dataclass(frozen=True)
-class MembershipVerdict:
+class MembershipVerdict(Record):
     """Outcome of the ideal-product membership check.
 
     hypothesis: the product of the elements lies in the product of the
@@ -257,8 +250,7 @@ class ProfileMismatch(Exception):
     """The two word sequences have different cut profiles; replay cannot run."""
 
 
-@dataclass(frozen=True)
-class ReplayResult:
+class ReplayResult(Record):
     """Outcome of the factorization-transfer replay.
 
     parts: the produced factorization v_1..v_n of the u concatenation.

@@ -7,11 +7,10 @@ allowed everywhere and evaluate to the identity.
 from __future__ import annotations
 
 from collections.abc import Collection, Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
-from .monoid import CapExceeded, FiniteMonoid, GeneratorMap, InputError
+from .monoid import CapExceeded, FiniteMonoid, GeneratorMap, InputError, Record
 
 MAX_PROFILE_TUPLES = 100_000
 
@@ -35,22 +34,25 @@ def word_image(M: FiniteMonoid, g: GeneratorMap, w: str) -> int:
     return acc
 
 
+def _images_from(M: FiniteMonoid, imgs: Sequence[int], i: int) -> list[int]:
+    """row[k] = image of w[i:i+k] for k = 0..L-i, given w's letter images."""
+    t = M.table
+    acc = M.identity
+    row = [acc]
+    for x in imgs[i:]:
+        acc = t[acc][x]
+        row.append(acc)
+    return row
+
+
 def segment_images(M: FiniteMonoid, g: GeneratorMap, w: str) -> list[list[int]]:
-    """seg[i][j] = image of w[i:j]; quadratic precompute for repeated lookups."""
-    L = len(w)
+    """seg[i][j] = image of w[i:j] (the identity for j < i); an (L+1)^2
+    precompute for repeated lookups."""
     imgs = [g.image(ch) for ch in w]
-    seg = [[M.identity] * (L + 1) for _ in range(L + 1)]
-    for i in range(L + 1):
-        acc = M.identity
-        row = seg[i]
-        for j in range(i, L):
-            acc = M.table[acc][imgs[j]]
-            row[j + 1] = acc
-    return seg
+    return [[M.identity] * i + _images_from(M, imgs, i) for i in range(len(w) + 1)]
 
 
-@dataclass(frozen=True)
-class CutProfile:
+class CutProfile(Record):
     """The set of n-tuples of part images over all n-part factorizations
     of some word.
 
@@ -136,25 +138,30 @@ def match_factorization(
     n = len(targets)
     if n < 1:
         raise InputError("need at least one target")
-    seg = segment_images(M, g, w)
+    imgs = [g.image(ch) for ch in w]
     L = len(w)
-    ends = [[L]]  # ends[k]: where part k may end, parts k+1.. still matching
-    for t in reversed(targets[1:]):
-        ends.append([j for j in range(L + 1)
-                     if any(seg[j][e] == t for e in ends[-1] if e >= j)])
-    ends.reverse()
+    # ends[k]: where part k may end, parts k+1.. still matching, descending.
+    # The start positions j are scanned from L down with one row of images
+    # at a time, so memory is O(n * L) and not the (L+1)^2 of segment_images;
+    # one part needs no backward pass.
+    ends = [[] for _ in range(n - 1)] + [[L]]
+    for j in range(L, -1, -1) if n > 1 else ():
+        row = _images_from(M, imgs, j)
+        for k in range(n - 1, 0, -1):
+            if any(row[e - j] == targets[k] for e in ends[k]):
+                ends[k - 1].append(j)
     bounds = [0]
     for k, t in enumerate(targets):
         j = bounds[-1]
-        e = next((e for e in ends[k] if e >= j and seg[j][e] == t), None)
+        row = _images_from(M, imgs, j)
+        e = next((e for e in reversed(ends[k]) if e >= j and row[e - j] == t), None)
         if e is None:
             return None
         bounds.append(e)
     return tuple(w[bounds[k]:bounds[k + 1]] for k in range(n))
 
 
-@dataclass(frozen=True)
-class FactorWitness:
+class FactorWitness(Record):
     """Locates part j of one factorization inside part i of another.
 
     i and j are 1-based part indices; offset is the 0-based start of the

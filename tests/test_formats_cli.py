@@ -500,9 +500,12 @@ def test_cli_removed_flags_are_rejected(capsys):
 
 
 def test_cli_import_loads_no_thread_machinery():
-    # nor pathlib and typing, which pull in urllib.parse, ipaddress and fnmatch
+    # nor pathlib and typing, which pull in urllib.parse, ipaddress and
+    # fnmatch, nor dataclasses, which pulls in inspect, ast, dis and tokenize
+    # (enum stays: argparse loads it through re)
     forbidden = {"concurrent.futures", "threading", "pathlib", "typing",
-                 "urllib.parse", "ipaddress", "fnmatch"}
+                 "urllib.parse", "ipaddress", "fnmatch", "dataclasses",
+                 "inspect", "ast", "dis", "tokenize"}
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); import monoidkit.cli; "
              f"print(sorted({forbidden!r} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-I", "-S", "-c", probe, str(SRCDIR)],

@@ -2,6 +2,7 @@ import math
 import os
 import random
 import time
+import tracemalloc
 from itertools import accumulate, combinations_with_replacement, product
 
 import pytest
@@ -267,3 +268,26 @@ def test_match_factorization_infeasible_does_not_hang():
     t0 = time.perf_counter()
     assert match_factorization(M, g, "a" * 22, (1,) * 11) is None
     assert time.perf_counter() - t0 < 2
+
+
+def test_match_factorization_memory_is_linear_in_the_word():
+    # an (L+1)^2 table of segment images takes about 8 MB at L = 1000
+    M = z2()
+    g = generator_map(M, {"a": 1})
+    tracemalloc.start()
+    try:
+        got = match_factorization(M, g, "a" * 1000, (1, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == ("a", "a" * 999)
+    assert peak < 1_000_000
+
+
+def test_segment_images_are_the_images_of_every_slice(fx):
+    for M, g in fx.values():
+        for w in all_words("".join(g.alphabet), 4):
+            L = len(w)
+            assert segment_images(M, g, w) == [
+                [word_image(M, g, w[i:j]) if i <= j else M.identity
+                 for j in range(L + 1)] for i in range(L + 1)]
