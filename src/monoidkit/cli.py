@@ -4,15 +4,21 @@ expansions, and run the shadow checks.
 Machine format (`--format machine`) is line-oriented `key=value` with keys
 sorted, byte-stable across runs on identical inputs; human format keeps
 insertion order and adds a timing line.  Exit codes: 0 success/holds,
-1 a checked property failed or a hypothesis did not hold, 2 input errors.
+1 a checked property failed or a hypothesis did not hold, 2 an input
+error, a stated cap, or running out of memory.
+
+The grammar is one table, _COMMANDS.  A well-formed command is parsed
+straight from it; argparse, built from the same table, is imported only
+for help, usage errors and the forms the plain reader declines, such as
+abbreviated options.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import sys
 import time
+from types import SimpleNamespace
 
 from .expansion import ExpandedMonoid, build_expansion, check_eta_aperiodic
 from .formats import (dfa_to_transition_monoid, load_table, parse_dfa,
@@ -285,71 +291,143 @@ def _cmd_from_tgen(args) -> tuple[dict[str, str], int]:
     return _from_report(M, g, fields, args.out)
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    """Escapes help and usage errors like reports; subparsers inherit it."""
+_LETTER_MAP = "letter map a=elem,b=elem"
+# each argument as (option strings or dest, add_argument keywords)
+_FORMAT = (("--format",), {"choices": ("human", "machine"), "default": "human",
+                           "help": "output rendering (default human)"})
+_FILE = (("file",), {})
+_ARITY = (("-n",), {"type": int, "required": True, "help": "arity"})
+_U_PARTS = (("--u",), {"required": True, "help": "comma-separated u parts"})
+_WRITE_MON = (("-o", "--out"), {"help": "write the monoid as .mon"})
 
-    def _print_message(self, message, file=None):
-        super()._print_message(_escape(message), file)
+# The grammar of `mono`, written once: each command's handler, help and
+# arguments, in the order the parser holds them.  _build_parser() and
+# _parse_plain() both read it.
+_COMMANDS = {
+    "info": (_cmd_info, "order, aperiodicity, idempotents, minimal ideal",
+             (_FORMAT, _FILE)),
+    "greens": (_cmd_greens, "Green's relation classes and the J-order",
+               (_FORMAT, _FILE)),
+    "ideal": (_cmd_ideal, "generated ideal with idempotency and primality",
+              (_FORMAT, _FILE,
+               (("elements",), {"nargs": "+", "help": "generator element names"}))),
+    "cut": (_cmd_cut, "cut profile of a word at a given arity",
+            (_FORMAT, _FILE, _ARITY,
+             (("--map",), {"required": True, "help": _LETTER_MAP}),
+             (("word",), {}))),
+    "expand": (_cmd_expand, "build the cut-profile expansion",
+               (_FORMAT, _FILE, _ARITY,
+                (("--gens",), {"required": True, "help": _LETTER_MAP}),
+                (("-o", "--out"),
+                 {"help": "write the expansion as .mon plus sidecar"}),
+                (("--table",), {"action": "store_true",
+                                "help": "include the full table"}))),
+    "lemma": (_cmd_lemma, "locate a part of one factorization inside another",
+              (_FORMAT, _U_PARTS,
+               (("--v",), {"required": True, "help": "comma-separated v parts"}))),
+    "replay": (_cmd_replay, "re-factor matching part images and locate a factor",
+               (_FORMAT, _FILE, _ARITY,
+                (("--map",), {"required": True, "help": _LETTER_MAP}),
+                _U_PARTS,
+                (("--w",), {"required": True, "help": "comma-separated w parts"}))),
+    "shadow": (_cmd_shadow,
+               "finite shadow checks (stability sweep, or "
+               "ideal-product membership with --alphas/--ideals)",
+               (_FORMAT, _FILE, (("--map",), {"help": _LETTER_MAP}),
+                (("--alphas",), {"help": "';'-separated omega terms"}),
+                (("--ideals",),
+                 {"help": "'|'-separated ideals, ',' between generators"}))),
+    "from-dfa": (_cmd_from_dfa, "transition monoid of a .dfa file",
+                 (_FORMAT, _FILE, _WRITE_MON)),
+    "from-tgen": (_cmd_from_tgen, "transformation monoid generated by a .tgen file",
+                  (_FORMAT, _FILE, _WRITE_MON)),
+}
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = _ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("human", "machine"), default="human",
-                        help="output rendering (default human)")
+def _build_parser():
+    """The argparse parser of _COMMANDS.  It prints help and usage errors,
+    and parses what _parse_plain declines; argparse is imported only here,
+    since with the re, enum and gettext modules it loads it costs about a
+    third of a launch."""
+    import argparse
+
+    class _ArgumentParser(argparse.ArgumentParser):
+        """Escapes help and usage errors like reports; subparsers inherit it."""
+
+        def _print_message(self, message, file=None):
+            super()._print_message(_escape(message), file)
+
     p = _ArgumentParser(prog="mono", description="finite monoid workbench")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def command(name, handler, help, file=True, arity=False):
-        sp = sub.add_parser(name, parents=[common], help=help)
-        if file:
-            sp.add_argument("file")
-        if arity:
-            sp.add_argument("-n", type=int, required=True, help="arity")
+    for name, (handler, help, arguments) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help)
+        for flags, keywords in arguments:
+            sp.add_argument(*flags, **keywords)
         sp.set_defaults(handler=handler)
-        return sp
-
-    letter_map = "letter map a=elem,b=elem"
-    command("info", _cmd_info, "order, aperiodicity, idempotents, minimal ideal")
-    command("greens", _cmd_greens, "Green's relation classes and the J-order")
-    sp = command("ideal", _cmd_ideal, "generated ideal with idempotency and primality")
-    sp.add_argument("elements", nargs="+", help="generator element names")
-
-    sp = command("cut", _cmd_cut, "cut profile of a word at a given arity",
-                 arity=True)
-    sp.add_argument("--map", required=True, help=letter_map)
-    sp.add_argument("word")
-
-    sp = command("expand", _cmd_expand, "build the cut-profile expansion",
-                 arity=True)
-    sp.add_argument("--gens", required=True, help=letter_map)
-    sp.add_argument("-o", "--out", help="write the expansion as .mon plus sidecar")
-    sp.add_argument("--table", action="store_true", help="include the full table")
-
-    sp = command("lemma", _cmd_lemma,
-                 "locate a part of one factorization inside another", file=False)
-    sp.add_argument("--u", required=True, help="comma-separated u parts")
-    sp.add_argument("--v", required=True, help="comma-separated v parts")
-
-    sp = command("replay", _cmd_replay,
-                 "re-factor matching part images and locate a factor", arity=True)
-    sp.add_argument("--map", required=True, help=letter_map)
-    sp.add_argument("--u", required=True, help="comma-separated u parts")
-    sp.add_argument("--w", required=True, help="comma-separated w parts")
-
-    sp = command("shadow", _cmd_shadow,
-                 "finite shadow checks (stability sweep, or "
-                 "ideal-product membership with --alphas/--ideals)")
-    sp.add_argument("--map", help=letter_map)
-    sp.add_argument("--alphas", help="';'-separated omega terms")
-    sp.add_argument("--ideals", help="'|'-separated ideals, ',' between generators")
-
-    for name, handler, help in (
-            ("from-dfa", _cmd_from_dfa, "transition monoid of a .dfa file"),
-            ("from-tgen", _cmd_from_tgen,
-             "transformation monoid generated by a .tgen file")):
-        command(name, handler, help).add_argument(
-            "-o", "--out", help="write the monoid as .mon")
     return p
+
+
+def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
+    """The arguments of a well-formed argv, as argparse parses them, or None.
+
+    Only plain forms are taken: the command first, option strings exactly
+    as in _COMMANDS, each value as the next token and not starting with
+    '-', every required option, and the exact positionals, a list in one
+    run.  Anything else (help, usage errors, abbreviations, --opt=value,
+    -n3, '--') is declined, so argparse owns every edge case."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    handler, _, arguments = _COMMANDS[argv[0]]
+    args = {"command": argv[0], "handler": handler}
+    options, positionals = {}, []
+    for flags, keywords in arguments:
+        if not flags[0].startswith("-"):
+            positionals.append((flags[0], keywords.get("nargs")))
+            continue
+        dest = flags[-1].lstrip("-")     # the long form comes last
+        store_true = keywords.get("action") == "store_true"
+        args[dest] = False if store_true else keywords.get("default")
+        options.update(dict.fromkeys(flags, (dest, store_true, keywords)))
+    # values holds each positional token with the number of options before
+    # it: argparse takes a list only from one run of positionals
+    values, given = [], []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            values.append((len(given), token))
+            continue
+        if token not in options:
+            return None
+        dest, store_true, keywords = options[token]
+        given.append(dest)
+        if store_true:
+            args[dest] = True
+            continue
+        value = next(tokens, "-")       # a missing value declines too
+        if value.startswith("-"):
+            return None
+        if "type" in keywords:
+            try:
+                value = keywords["type"](value)
+            except ValueError:
+                return None
+        if value not in keywords.get("choices", (value,)):
+            return None
+        args[dest] = value
+    if any(keywords.get("required") and dest not in given
+           for dest, _, keywords in options.values()):
+        return None
+    last = len(positionals) - 1
+    if positionals and positionals[-1][1] == "+":
+        rest = values[last:]
+        if not rest or len({run for run, _ in rest}) > 1:
+            return None
+        values = values[:last] + [(0, [token for _, token in rest])]
+    if len(values) != len(positionals):
+        return None
+    for (dest, _), (_, value) in zip(positionals, values):
+        args[dest] = value
+    return SimpleNamespace(**args)
 
 
 def _escape(text: str) -> str:
@@ -359,27 +437,34 @@ def _escape(text: str) -> str:
 
 
 def cli_dispatch(argv) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(list(argv))
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    argv = list(argv)
+    args = _parse_plain(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
     t0 = time.perf_counter()
     try:
         fields, code = args.handler(args)
     except (InputError, CapExceeded, OSError) as exc:
-        sys.stderr.write(_escape(f"error: {exc}\n"))
-        return 2
-    elapsed = (time.perf_counter() - t0) * 1000
-    if args.format == "machine":
-        fields["command"] = args.command
-        out = "".join(f"{k}={fields[k]}\n" for k in sorted(fields))
+        message = str(exc)
+    except MemoryError:
+        # reported once the handler's frames, and what they hold, are freed
+        message = "out of memory"
     else:
-        out = "".join([f"mono {args.command}\n",
-                       *(f"  {k}: {v}\n" for k, v in fields.items()),
-                       f"  elapsed: {elapsed:.1f} ms\n"])
-    sys.stdout.write(_escape(out))
-    return code
+        elapsed = (time.perf_counter() - t0) * 1000
+        if args.format == "machine":
+            fields["command"] = args.command
+            out = "".join(f"{k}={fields[k]}\n" for k in sorted(fields))
+        else:
+            out = "".join([f"mono {args.command}\n",
+                           *(f"  {k}: {v}\n" for k, v in fields.items()),
+                           f"  elapsed: {elapsed:.1f} ms\n"])
+        sys.stdout.write(_escape(out))
+        return code
+    sys.stderr.write(_escape(f"error: {message}\n"))
+    return 2
 
 
 def main() -> None:

@@ -14,8 +14,8 @@ from collections.abc import Sequence
 from functools import cache, partial, reduce
 
 from .formats import _numeral
-from .monoid import (FiniteMonoid, GeneratorMap, InputError, Record,
-                     ideal_generated, ideal_product, is_group_element)
+from .monoid import (CapExceeded, FiniteMonoid, GeneratorMap, InputError,
+                     Record, ideal_generated, ideal_product, is_group_element)
 from .words import FactorWitness, cut, lemma_factor, match_factorization, word_image
 
 
@@ -42,6 +42,10 @@ OmegaTerm = Letter | Concat | Power | OmegaPower
 # stack frames (expr, factor, atom), and evaluate and term_text recurse once
 # per level, so this stays far below the interpreter's recursion limit.
 MAX_TERM_DEPTH = 100
+
+# replay's factorization match costs O(n*L^2) for a word of length L in n
+# parts; this bound on n*L^2 keeps a replay to about a second
+MAX_REPLAY_WORK = 10**8
 
 
 class _Parser:
@@ -278,7 +282,8 @@ def replay_factorization(
     ideal membership.
 
     Precondition (checked): the two concatenations have equal cut profiles
-    at arity n; ProfileMismatch is raised otherwise.
+    at arity n; ProfileMismatch is raised otherwise.  CapExceeded is raised,
+    before any work, when n*L^2 for the longer word exceeds MAX_REPLAY_WORK.
     """
     us, ws = tuple(us), tuple(ws)
     m = len(us)
@@ -290,6 +295,10 @@ def replay_factorization(
         raise InputError(f"more u parts than w parts ({m} > {n})")
     u = "".join(us)
     w = "".join(ws)
+    L = max(len(u), len(w))
+    if n * L * L > MAX_REPLAY_WORK:
+        raise CapExceeded(f"replay of {L} letters in {n} parts: n*L^2 exceeds "
+                          f"cap of {MAX_REPLAY_WORK}", n * L * L)
     pu = cut(M, g, u, n)
     pw = pu if u == w else cut(M, g, w, n)
     if pu != pw:

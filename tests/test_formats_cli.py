@@ -2,6 +2,8 @@ import argparse
 import hashlib
 import io
 import os
+import random
+import shlex
 import subprocess
 import sys
 import time
@@ -12,10 +14,11 @@ import pytest
 from monoidkit import (InputError, dfa_to_transition_monoid, load_table,
                        parse_dfa, parse_tgen, serialize_monoid)
 from monoidkit.catalog import b21, flipflop, n3, t2, trivial, z2, z3
-from monoidkit.cli import _build_parser, cli_dispatch
+from monoidkit.cli import _COMMANDS, _build_parser, _parse_plain, cli_dispatch
 
-FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
-SRCDIR = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+FIXDIR = ROOT / "fixtures"
+SRCDIR = ROOT / "src"
 
 
 def digest(path: Path) -> str:
@@ -26,6 +29,22 @@ def run(argv, capsys):
     code = cli_dispatch([str(a) for a in argv])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# one well-formed command of each subcommand, each exiting 0
+COMMANDS = [
+    ["info", FIXDIR / "N3.mon"],
+    ["greens", FIXDIR / "flipflop.mon"],
+    ["ideal", FIXDIR / "N3.mon", "0"],
+    ["cut", FIXDIR / "Z2.mon", "-n", "2", "--map", "a=g,b=g", "ab"],
+    ["expand", FIXDIR / "Z2.mon", "-n", "2", "--gens", "a=g"],
+    ["lemma", "--u", "ab,ba", "--v", "a,bb,a"],
+    ["replay", FIXDIR / "Z2.mon", "-n", "2", "--map", "a=g",
+     "--u", "aa,aa", "--w", "a,aaa"],
+    ["shadow", FIXDIR / "N3.mon"],
+    ["from-dfa", FIXDIR / "flipflop.dfa"],
+    ["from-tgen", FIXDIR / "flipflop.tgen"],
+]
 
 
 N3_GOLDEN = """elements: 1 a 0
@@ -501,16 +520,42 @@ def test_cli_removed_flags_are_rejected(capsys):
 
 def test_cli_import_loads_no_thread_machinery():
     # nor pathlib and typing, which pull in urllib.parse, ipaddress and
-    # fnmatch, nor dataclasses, which pulls in inspect, ast, dis and tokenize
-    # (enum stays: argparse loads it through re)
+    # fnmatch, nor dataclasses, which pulls in inspect, ast, dis and tokenize,
+    # nor argparse, which pulls in re, enum and gettext: not at import, and
+    # not for a well-formed command of any subcommand either
     forbidden = {"concurrent.futures", "threading", "pathlib", "typing",
                  "urllib.parse", "ipaddress", "fnmatch", "dataclasses",
-                 "inspect", "ast", "dis", "tokenize"}
+                 "inspect", "ast", "dis", "tokenize", "argparse", "re",
+                 "gettext", "enum"}
+    argvs = [[str(a) for a in argv] + ["--format", "machine"] for argv in COMMANDS]
+    assert sorted(argv[0] for argv in argvs) == sorted(_COMMANDS)
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); import monoidkit.cli; "
-             f"print(sorted({forbidden!r} & set(sys.modules)))")
+             f"loaded = lambda: sorted({forbidden!r} & set(sys.modules)); "
+             "print(loaded()); "
+             f"codes = [monoidkit.cli.cli_dispatch(a) for a in {argvs!r}]; "
+             "print(codes); print(loaded())")
     out = subprocess.run([sys.executable, "-I", "-S", "-c", probe, str(SRCDIR)],
                          capture_output=True, text=True, check=True).stdout
-    assert out == "[]\n"
+    lines = out.splitlines()
+    assert lines[0] == "[]"
+    assert lines[-2:] == [str([0] * len(argvs)), "[]"]
+
+
+def test_cli_help_and_usage_errors_come_from_argparse():
+    def mono(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "monoidkit.cli", *argv], capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": str(SRCDIR), "COLUMNS": "80"})
+
+    usage = "usage: mono info [-h] [--format {human,machine}] file\n"
+    proc = mono("info", "--help")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.startswith(usage + "\n")
+    assert "  -h, --help            show this help message and exit\n" in proc.stdout
+    proc = mono("info")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == (
+        usage + "mono info: error: the following arguments are required: file\n")
 
 
 HELP = (("-h", "--help"), False, 0, "show this help message and exit")
@@ -589,23 +634,145 @@ def test_dfa_ingestion_composes(tmp_path, capsys):
 
 
 def test_cli_machine_output_is_reproducible(capsys):
-    commands = [
-        ["info", FIXDIR / "N3.mon"],
-        ["greens", FIXDIR / "flipflop.mon"],
-        ["ideal", FIXDIR / "N3.mon", "0"],
-        ["cut", FIXDIR / "Z2.mon", "-n", "2", "--map", "a=g,b=g", "ab"],
-        ["expand", FIXDIR / "Z2.mon", "-n", "2", "--gens", "a=g"],
-        ["lemma", "--u", "ab,ba", "--v", "a,bb,a"],
-        ["replay", FIXDIR / "Z2.mon", "-n", "2", "--map", "a=g",
-         "--u", "aa,aa", "--w", "a,aaa"],
-        ["shadow", FIXDIR / "N3.mon", "--map", "a=a", "--alphas", "a;a",
-         "--ideals", "a^w|a^w"],
-        ["from-dfa", FIXDIR / "flipflop.dfa"],
-        ["from-tgen", FIXDIR / "flipflop.tgen"],
-    ]
-    for argv in commands:
+    for argv in COMMANDS + [["shadow", FIXDIR / "N3.mon", "--map", "a=a",
+                             "--alphas", "a;a", "--ideals", "a^w|a^w"]]:
         argv = argv + ["--format", "machine"]
         code1, out1, _ = run(argv, capsys)
         code2, out2, _ = run(argv, capsys)
         assert out1 == out2
         assert code1 == code2
+
+
+def test_cli_memory_error_exits_2():
+    # an expansion that peaks near 290 MB, under a 100 MB address-space limit
+    # set in the child only; MemoryError is one error line and exit 2
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (100 << 20, 100 << 20))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "monoidkit.cli", "expand", "fixtures/flipflop.mon",
+         "-n", "6", "--gens", "a=s,b=r", "--format", "machine"],
+        capture_output=True, text=True, preexec_fn=limit, cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(SRCDIR)})
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: out of memory\n"
+
+
+def test_cli_long_replay_exits_2_at_its_cap(capsys):
+    a = "a" * 20000
+    t0 = time.perf_counter()
+    code, out, err = run(["replay", FIXDIR / "Z2.mon", "-n", "2", "--map", "a=g",
+                          "--u", a, "--w", a + ",", "--format", "machine"], capsys)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == ""
+    assert err == ("error: replay of 20000 letters in 2 parts: n*L^2 exceeds "
+                   "cap of 100000000\n")
+
+
+def documented_argvs():
+    """The argvs of the goldens, the other CLI tests and the README examples."""
+    argvs = [[str(a) for a in argv] for argv in COMMANDS]
+    argvs += [argv + ["--format", "machine"] for argv in argvs]
+    argvs += [
+        ["ideal", str(FIXDIR / "N3.mon"), "0", "--format", "machine"],
+        ["shadow", str(FIXDIR / "N3.mon"), "--map", "a=a", "--alphas", "a;a",
+         "--ideals", "a^w|a^w", "--format", "machine"],
+        ["expand", str(FIXDIR / "Z2.mon"), "-n", "2", "--gens", "a=g", "-o", "x.mon",
+         "--format", "machine"],
+        ["expand", str(FIXDIR / "Z2.mon"), "-n", "2", "--gens", "a=g", "--table",
+         "--format", "machine"],
+        ["from-dfa", str(FIXDIR / "flipflop.dfa"), "-o", "x.mon", "--format", "machine"],
+        ["from-tgen", str(FIXDIR / "flipflop.tgen"), "--out", "x.mon"],
+        ["replay", str(FIXDIR / "Z2.mon"), "-n", "11", "--map", "a=g,b=1",
+         "--u", "aaaa,aaaaa,a,aaaaaa,aaaaa", "--w", "aaaaaaaaaaa" + ",a" * 10,
+         "--format", "machine"],
+    ]
+    for line in (ROOT / "README.md").read_text().splitlines():
+        line = line.removeprefix("$ ")
+        if line.startswith("mono "):
+            argvs.append(shlex.split(line, comments=True)[1:])
+    return argvs
+
+
+def test_plain_parser_takes_every_documented_argv():
+    parser = _build_parser()
+    argvs = documented_argvs()
+    assert len(argvs) > 30
+    for argv in argvs:
+        args = _parse_plain(argv)
+        assert args is not None, argv
+        assert vars(args) == vars(parser.parse_args(argv))
+
+
+def plain_corpus(rng: random.Random, count: int):
+    """Argvs built from the command table's own tokens: a well-formed
+    command with its options in a random order, then up to three edits that
+    duplicate, drop, move or swap tokens, or insert one of the forms the
+    plain parser must decline (abbreviations, --x=y, -n3, --, -, '', -1,
+    -h, a non-UTF-8 byte, an option of another command)."""
+    options = sorted({f for _, _, arguments in _COMMANDS.values()
+                      for flags, _ in arguments for f in flags if f.startswith("-")})
+    strange = ["--for", "--fo", "--ma", "--ta", "--ou", "--al", "--id", "--ge",
+               "--format=machine", "--map=a=g", "-n3", "-o-", "--", "-", "", "-1",
+               "-h", "--help", "\udcff", "a b", "x", *_COMMANDS, *options]
+    values = {"-n": ["2", "0", "12", " 3", "x", "-1", "\u0663"],
+              "--format": ["human", "machine", "bogus", "mach"]}
+    words = ["a=g", "ab,ba", "fixtures/N3.mon", "0", "a^w|a^w", "\udcff", ""]
+    for _ in range(count):
+        name = rng.choice(list(_COMMANDS))
+        groups, positionals = [], []
+        for flags, keywords in _COMMANDS[name][2]:
+            pool = values.get(flags[0], words)
+            if not flags[0].startswith("-"):
+                k = rng.randint(1, 3) if keywords.get("nargs") == "+" else 1
+                positionals += [rng.choice(words) for _ in range(k)]
+            elif keywords.get("required") or rng.random() < 0.5:
+                flag = rng.choice(flags)
+                if keywords.get("action") == "store_true":
+                    groups.append([flag])
+                else:
+                    groups.append([flag, pool[0] if rng.random() < 0.7
+                                   else rng.choice(pool)])
+        rng.shuffle(groups)
+        cuts = sorted(rng.randint(0, len(groups)) for _ in positionals)
+        for cut_at, token in reversed(list(zip(cuts, positionals))):
+            groups.insert(cut_at, [token])
+        argv = [name] + [t for group in groups for t in group]
+        for _ in range(rng.choice((0, 1, 2, 2, 3))):
+            i, j = rng.randrange(len(argv) + 1), rng.randrange(1, len(argv) + 1)
+            edit = rng.randrange(5)
+            if edit == 0:
+                argv.insert(i, rng.choice(strange))
+            elif edit == 1 and len(argv) > 1:
+                del argv[j - 1]
+            elif edit == 2:
+                argv.insert(i, argv[j - 1])
+            elif edit == 3:
+                argv.insert(i, argv.pop(j - 1))
+            else:
+                argv[i - 1:i + 1] = argv[i - 1:i + 1][::-1]
+        yield argv
+
+
+def test_plain_parser_agrees_with_argparse():
+    # whatever the plain parser takes, argparse parses to the same
+    # attributes; it takes no token starting with '-' but an exact option
+    # string of the command, so abbreviations and --x=y go to argparse
+    rng = random.Random(int(os.environ.get("MONO_SEED", "0")))
+    parser = _build_parser()
+    accepted = 0
+    for argv in plain_corpus(rng, 100_000):
+        args = _parse_plain(argv)
+        if args is None:
+            continue
+        accepted += 1
+        options = {f for flags, _ in _COMMANDS[argv[0]][2] for f in flags}
+        assert all(t in options for t in argv[1:] if t.startswith("-")), argv
+        try:
+            expected = parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"argparse rejects {argv!r}, which the plain parser took")
+        assert vars(args) == vars(expected), argv
+    assert accepted > 10_000

@@ -4,15 +4,15 @@ import time
 
 import pytest
 
-from monoidkit import (Concat, InputError, Letter, OmegaPower, Power,
-                       ProfileMismatch, StabilitySweep, build_expansion,
+from monoidkit import (CapExceeded, Concat, InputError, Letter, OmegaPower,
+                       Power, ProfileMismatch, StabilitySweep, build_expansion,
                        evaluate, generate_from_transformations, generator_map,
                        group_element_shadow, ideal_generated,
                        ideal_product_shadow, is_group_element, parse_term,
                        replay_factorization, term_text, word_image)
 from monoidkit.catalog import flipflop, n3, z2
 from monoidkit.monoid import FiniteMonoid
-from monoidkit.shadows import MAX_TERM_DEPTH
+from monoidkit.shadows import MAX_REPLAY_WORK, MAX_TERM_DEPTH
 from helpers import (M52_GENS, T3_GENS, T4_GENS, all_words,
                      check_factor_witness)
 
@@ -304,6 +304,22 @@ def test_replay_preconditions():
         replay_factorization(M, g, 1, ("a", "a"), ("aa",))
     with pytest.raises(InputError):
         replay_factorization(M, g, 3, ("aa",), ("a", "a"))
+
+
+def test_replay_word_length_cap():
+    # n*L^2 is checked before cut and the match, so an over-cap replay stops
+    # at once; the longer of the two words counts
+    M = z2()
+    g = generator_map(M, {"a": 1})
+    L = 7071                          # the longest a^L in 2 parts under the cap
+    assert 2 * L * L <= MAX_REPLAY_WORK < 2 * (L + 1) ** 2
+    t0 = time.perf_counter()
+    for us, ws in ((("a" * (L + 1),), ("a", "a" * L)),
+                   (("a",), ("a" * (L + 1), ""))):
+        with pytest.raises(CapExceeded, match="n\\*L\\^2 exceeds cap") as exc:
+            replay_factorization(M, g, 2, us, ws)
+        assert exc.value.count == 2 * (L + 1) ** 2
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_replay_small_sweep(cat):
