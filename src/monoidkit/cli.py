@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import sys
 import time
+from collections import Counter
 from types import SimpleNamespace
 
 from .expansion import ExpandedMonoid, build_expansion, check_eta_aperiodic
@@ -112,11 +113,9 @@ def _cmd_greens(args) -> tuple[dict[str, str], int]:
     def classes(cs) -> str:
         return "[" + ",".join(_names(M, c) for c in cs) + "]"
 
-    strict = sorted(
-        (a, b)
-        for a in range(len(gd.j_classes))
-        for b in range(len(gd.j_classes))
-        if a != b and gd.j_leq[a][b])
+    # one pass over j_leq in (a, b) order, so the pairs come out sorted
+    strict = [(a, b) for a, row in enumerate(gd.j_leq)
+              for b, leq in enumerate(row) if leq and a != b]
     fields |= {
         "r_classes": classes(gd.r_classes),
         "l_classes": classes(gd.l_classes),
@@ -168,7 +167,7 @@ def _cmd_expand(args) -> tuple[dict[str, str], int]:
     g = _parse_map(M, args.gens)
     E = build_expansion(M, g, args.n)
     aper, witness = check_eta_aperiodic(E)
-    fibers = [(e, len(E.fiber(e))) for e in sorted(set(E.eta))]
+    fibers = sorted(Counter(E.eta).items())
     fields |= {
         "n": str(args.n),
         "base_order": str(M.order),

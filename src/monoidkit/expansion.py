@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from functools import cached_property, reduce
 
-from .monoid import (CapExceeded, FiniteMonoid, GeneratorMap, InputError,
-                     Record, _cayley_table, configured_cap)
+from .monoid import (FiniteMonoid, GeneratorMap, InputError, Record, _closure,
+                     configured_cap)
 from .words import CutProfile, _spread, _squeeze, _step
 
 DEFAULT_PROFILE_CAP = 20_000
@@ -104,59 +104,28 @@ def build_expansion(
     shortlex-least words.  A non-generating map is fine: the result is the
     expansion of the generated submonoid.
 
-    The search records the right Cayley graph and, for each profile, the
-    (parent, letter) step of its representative.  Profile equality is a
-    congruence, so `_cayley_table` reads the table off that graph without
-    any profile products.
+    Profile equality is a congruence, so `_closure` reads the table off the
+    right Cayley graph of the search without any profile products.
     """
     if n < 1:
         raise InputError("arity must be >= 1")
     cap = configured_cap(DEFAULT_PROFILE_CAP) if cap is None else cap
-    letters = [g.image(a) for a in g.alphabet]
-    seqs = [frozenset({()})]
-    profiles = [_spread(M, n, seqs[0])]
-    words = [""]
-    parent = [0]
-    last = [0]
-    right: list[list[int]] = [[] for _ in letters]
-    index: dict[frozenset, int] = {seqs[0]: 0}
-    frontier = [0]
-    while frontier:
-        batches = [[frozenset(_step(M, n, seqs[i], x)) for x in letters]
-                   for i in frontier]
-        found: dict[frozenset, tuple[str, int, int]] = {}
-        for i, batch in zip(frontier, batches):
-            for k, q in enumerate(batch):
-                if q in index:
-                    continue
-                cand = words[i] + g.alphabet[k]
-                prev = found.get(q)
-                if prev is None or cand < prev[0]:
-                    found[q] = (cand, i, k)
-        spread = {q: _spread(M, n, q) for q in found}
-        new = sorted(found, key=lambda q: spread[q].tuples)
-        for q in new:
-            if len(profiles) >= cap:
-                raise CapExceeded(
-                    f"expansion exceeded cap of {cap} profiles", len(profiles))
-            index[q] = len(profiles)
-            seqs.append(q)
-            profiles.append(spread[q])
-            w, i, k = found[q]
-            words.append(w)
-            parent.append(i)
-            last.append(k)
-        # the frontier is the block of indices numbered last, in order, so
-        # each right[k] grows in index order
-        for batch in batches:
-            for k, q in enumerate(batch):
-                right[k].append(index[q])
-        frontier = [index[q] for q in new]
+    alphabet = sorted(g.alphabet)  # so the least letter-index word is shortlex-least
+    images = [g.image(a) for a in alphabet]
+    start = frozenset({()})
+    spread = {start: _spread(M, n, start)}
 
+    def encoding(q):
+        spread[q] = _spread(M, n, q)
+        return spread[q].tuples
+
+    seqs, words, table = _closure(
+        start, lambda s, k: frozenset(_step(M, n, s, images[k])), len(images),
+        cap, f"expansion exceeded cap of {cap} profiles", key=encoding)
     # every sequence of a profile multiplies to the same image
     eta = tuple(reduce(M.mul, next(iter(s)), M.identity) for s in seqs)
-    return ExpandedMonoid(M, g, n, tuple(profiles), _cayley_table(right, parent, last),
-                          eta, tuple(words))
+    return ExpandedMonoid(M, g, n, tuple(map(spread.__getitem__, seqs)), table, eta,
+                          tuple("".join(map(alphabet.__getitem__, w)) for w in words))
 
 
 def check_eta_aperiodic(E: ExpandedMonoid) -> tuple[bool, tuple[int, int] | None]:

@@ -271,17 +271,56 @@ def generator_map(M: FiniteMonoid, mapping: Mapping[str, int]) -> GeneratorMap:
     return GeneratorMap(letters, images, tuple(sorted(seen)))
 
 
-def _cayley_table(right, parent, last) -> tuple[tuple[int, ...], ...]:
-    """The table of a monoid searched breadth first from its identity (0):
-    ``right[k][i]`` is element i times generator k, and q > 0 was first
-    reached as ``parent[q] < q`` times generator ``last[q]``.  Since
-    ``p * q = (p * parent(q)) * last(q)``, each column is an earlier one
-    mapped through ``right``, one lookup per entry and no element products
-    (Froidure & Pin, "Algorithms for computing finite semigroups", 1997)."""
-    columns = [range(len(parent))]  # columns[q][p] = p * q
-    for q in range(1, len(parent)):
+def _closure(start, step, letters: int, cap: int, message: str, key=None):
+    """Breadth-first closure of ``start`` under ``step(state, k)`` for the
+    letters k = 0..letters-1, one generation at a time.
+
+    Each generation of new states is numbered in discovery order, or sorted
+    by ``key`` when one is given; ``start`` is 0.  Each state keeps its least
+    word as a tuple of letter indices (shortlex, letters in index order).
+    ``CapExceeded(message, count)`` is raised before a state is numbered
+    past ``cap``.  Returns the states, their words and the table.
+
+    The table is read off the search: ``right[k][i]`` is state i times
+    letter k, and state q > 0 was first reached as ``parent[q]`` times
+    letter ``last[q]``.  Since ``p * q = (p * parent(q)) * last(q)``, each
+    column is an earlier one mapped through ``right``, one lookup per entry
+    and no state products (Froidure & Pin, "Algorithms for computing finite
+    semigroups", 1997).
+    """
+    states, words = [start], [()]
+    parent, last = [0], [0]
+    right: list[list[int]] = [[] for _ in range(letters)]
+    index = {start: 0}
+    frontier = range(1)
+    while frontier:
+        batches = [[step(states[i], k) for k in range(letters)] for i in frontier]
+        found: dict = {}  # new state -> (least word, parent, letter)
+        for i, batch in zip(frontier, batches):
+            for k, q in enumerate(batch):
+                if q not in index:
+                    cand = words[i] + (k,)
+                    if q not in found or cand < found[q][0]:
+                        found[q] = (cand, i, k)
+        for q in found if key is None else sorted(found, key=key):
+            if len(states) >= cap:
+                raise CapExceeded(message, len(states))
+            index[q] = len(states)
+            states.append(q)
+            w, i, k = found[q]
+            words.append(w)
+            parent.append(i)
+            last.append(k)
+        # the frontier is the block of states numbered last, in order, so
+        # each right[k] grows in index order
+        for batch in batches:
+            for k, q in enumerate(batch):
+                right[k].append(index[q])
+        frontier = range(len(states) - len(found), len(states))
+    columns = [range(len(states))]  # columns[q][p] = p * q
+    for q in range(1, len(states)):
         columns.append(list(map(right[last[q]].__getitem__, columns[parent[q]])))
-    return tuple(zip(*columns))
+    return states, words, tuple(zip(*columns))
 
 
 def generate_from_transformations(
@@ -292,44 +331,29 @@ def generate_from_transformations(
     """Close named maps on {0..degree-1} under composition, identity adjoined.
 
     Elements are ordered by shortlex-first generator word (generators in the
-    given order), each records that word, and `_cayley_table` reads the
-    table off the search.  Returns the monoid and the generator map.
+    given order), each records that word, and `_closure` reads the table off
+    the search.  Returns the monoid and the generator map.
     """
     if degree < 1:
         raise InputError("degree must be >= 1")
-    items = []
+    names, maps = [], []
     for name, m in gens.items():
         _check_name(name)
         m = tuple(m)
         if len(m) != degree or any(not 0 <= v < degree for v in m):
             raise InputError(f"generator {name!r} is not a map on {degree} points")
-        items.append((name, m))
+        names.append(name)
+        maps.append(m)
     cap = configured_cap(DEFAULT_ELEMENT_CAP) if cap is None else cap
-    ident = tuple(range(degree))
-    elems = [ident]
-    words = [""]
-    parent, last = [0], [0]
-    right: list[list[int]] = [[] for _ in items]
-    index = {ident: 0}
-    for pos, base in enumerate(elems):  # a queue: new elements join its end
-        for k, (name, m) in enumerate(items):
-            nxt = tuple(map(m.__getitem__, base))
-            if nxt not in index:
-                if len(elems) >= cap:
-                    raise CapExceeded(
-                        f"transformation closure exceeded cap of {cap} elements",
-                        len(elems))
-                index[nxt] = len(elems)
-                elems.append(nxt)
-                words.append(words[pos] + name)
-                parent.append(pos)
-                last.append(k)
-            right[k].append(index[nxt])
-    names = tuple("1" if w == "" else w for w in words)
-    if len(set(names)) != len(names):
+    elems, words, table = _closure(
+        tuple(range(degree)), lambda x, k: tuple(map(maps[k].__getitem__, x)),
+        len(maps), cap, f"transformation closure exceeded cap of {cap} elements")
+    words = tuple("".join(map(names.__getitem__, w)) for w in words)
+    labels = tuple(w or "1" for w in words)
+    if len(set(labels)) != len(labels):
         raise InputError("generator words collide as element names; rename generators")
-    M = FiniteMonoid(names, 0, _cayley_table(right, parent, last), words=tuple(words))
-    return M, generator_map(M, {name: index[m] for name, m in items})
+    M = FiniteMonoid(labels, 0, table, words=words)
+    return M, generator_map(M, {name: elems.index(m) for name, m in zip(names, maps)})
 
 
 class GreensData(Record):

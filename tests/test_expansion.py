@@ -265,16 +265,36 @@ def build_expansion_spread(M, g, n, cap=None):
                           tuple(eta), tuple(words))
 
 
+def listed_backwards(M, g):
+    """The letter map g with its letters listed in the reverse order."""
+    return generator_map(M, {a: g.image(a) for a in reversed(g.alphabet)})
+
+
 def spread_oracle_cases(fx):
     cases = [(name, n) for name in ("trivial", "z2", "z3", "n3", "flipflop")
              for n in (1, 2, 3, 4)]
     cases += [("t2", n) for n in (1, 2, 3)] + [("b21", n) for n in (1, 2)]
-    return [(name, n, *fx[name]) for name, n in cases]
+    out = [(name, n, *fx[name]) for name, n in cases]
+    # the same maps listed as b, a: an alphabet out of symbol order
+    return out + [(name + ":ba", n, M, listed_backwards(M, g))
+                  for name, n, M, g in out if name in ("z3", "flipflop", "t2", "b21")]
 
 
 def test_build_matches_spread_oracle(fx):
     for name, n, M, g in spread_oracle_cases(fx):
         E, F = build_expansion(M, g, n), build_expansion_spread(M, g, n)
+        assert E.profiles == F.profiles, (name, n)
+        assert E.table == F.table, (name, n)
+        assert E.eta == F.eta, (name, n)
+        assert E.representatives == F.representatives, (name, n)
+
+
+def test_letter_order_does_not_change_the_expansion(fx):
+    # the search runs over the letters in symbol order, so its least words
+    # are the shortlex-least strings however the map lists its letters
+    for name, n, M, g in spread_oracle_cases(fx):
+        E, F = build_expansion(M, g, n), build_expansion(M, listed_backwards(M, g), n)
+        assert E.gmap.alphabet != F.gmap.alphabet, (name, n)
         assert E.profiles == F.profiles, (name, n)
         assert E.table == F.table, (name, n)
         assert E.eta == F.eta, (name, n)
@@ -298,6 +318,40 @@ def test_tuple_cap_stops_where_the_spread_oracle_does(monkeypatch, fx, limit):
     with pytest.raises(CapExceeded) as old:
         build_expansion_spread(M, g, 3)
     assert (str(new.value), new.value.count) == (str(old.value), old.value.count)
+
+
+def expansion_outcome(build, M, g, n, cap):
+    try:
+        E = build(M, g, n, cap=cap)
+    except CapExceeded as exc:
+        return str(exc), exc.count
+    return E.profiles, E.table, E.eta, E.representatives
+
+
+@pytest.mark.parametrize("name, n, order", [("z3", 3, 24), ("b21", 2, 71), ("b21", 3, 1835)])
+@pytest.mark.parametrize("cap", [1, 2, 10, -1, 0])  # -1, 0: order - 1, order
+def test_expansion_cap_stops_where_the_spread_oracle_does(fx, name, n, order, cap):
+    M, g = fx[name]
+    cap = cap if cap > 0 else order + cap
+    got = expansion_outcome(build_expansion, M, g, n, cap)
+    assert got == expansion_outcome(build_expansion_spread, M, g, n, cap)
+    if cap < order:
+        assert got == (f"expansion exceeded cap of {cap} profiles", cap)
+    else:
+        assert len(got[0]) == order
+
+
+def test_tuple_cap_comes_before_the_profile_cap(monkeypatch, fx):
+    # at 12 tuples the b21 search first spreads a profile past the tuple cap
+    # in the generation after the one that ends at 15 profiles, so every cap
+    # from 15 up meets that generation's tuple-cap error first
+    monkeypatch.setattr("monoidkit.words.MAX_PROFILE_TUPLES", 12)
+    M, g = fx["b21"]
+    for cap in range(1, 20):
+        got = expansion_outcome(build_expansion, M, g, 3, cap)
+        assert got == expansion_outcome(build_expansion_spread, M, g, 3, cap), cap
+        assert got == ((f"expansion exceeded cap of {cap} profiles", cap) if cap < 15
+                       else ("cut profile of 15 tuples exceeds cap of 12", 15)), cap
 
 
 def test_each_profile_is_spread_once(monkeypatch, cat):
