@@ -67,10 +67,10 @@ def load_table(text: str) -> FiniteMonoid:
         toks = row.split()
         if len(toks) != order:
             raise InputError(f"line {ln}: expected {order} entries, got {len(toks)}")
-        for tok in toks:
-            if tok not in pos:
-                raise InputError(f"line {ln}: unknown element {tok!r}")
-        table.append(tuple(pos[tok] for tok in toks))
+        try:
+            table.append(tuple(map(pos.__getitem__, toks)))
+        except KeyError as exc:
+            raise InputError(f"line {ln}: unknown element {exc.args[0]!r}") from None
     if ident[0] not in pos:
         raise InputError(f"unknown identity element {ident[0]!r}")
     M = FiniteMonoid(tuple(names), pos[ident[0]], tuple(table))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import os
 from collections.abc import Iterable, Mapping, Sequence
 from functools import reduce
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 DEFAULT_ELEMENT_CAP = 512
 
@@ -138,10 +138,14 @@ def _light_test(t: tuple[tuple[int, ...], ...]) -> bool:
     element is a product of elements of A, so passing for A means the table
     is associative (Clifford & Preston, vol. I, section 1.2).
     """
+    if len(t) == 1:
+        # itemgetter of a single index returns an entry, not a tuple; the
+        # only one-element table in range, ((0,),), is associative
+        return True
     for a in _greedy_generators(t):
-        row_a = t[a]
+        row_a = itemgetter(*t[a])
         for rx in t:
-            if t[rx[a]] != tuple(map(rx.__getitem__, row_a)):
+            if t[rx[a]] != row_a(rx):
                 return False
     return True
 
@@ -283,10 +287,11 @@ def _closure(start, step, letters: int, cap: int, message: str, key=None):
 
     The table is read off the search: ``right[k][i]`` is state i times
     letter k, and state q > 0 was first reached as ``parent[q]`` times
-    letter ``last[q]``.  Since ``p * q = (p * parent(q)) * last(q)``, each
-    column is an earlier one mapped through ``right``, one lookup per entry
-    and no state products (Froidure & Pin, "Algorithms for computing finite
-    semigroups", 1997).
+    letter ``last[q]``.  Since ``k * q = (k * parent(q)) * last(q)``, each
+    letter's left row ``left[k]`` takes one lookup per state; since
+    ``p * q = parent(p) * (last(p) * q)``, each row is an earlier one read
+    through ``left[last[p]]``, one lookup per entry and no state products
+    (Froidure & Pin, "Algorithms for computing finite semigroups", 1997).
     """
     states, words = [start], [()]
     parent, last = [0], [0]
@@ -317,10 +322,17 @@ def _closure(start, step, letters: int, cap: int, message: str, key=None):
             for k, q in enumerate(batch):
                 right[k].append(index[q])
         frontier = range(len(states) - len(found), len(states))
-    columns = [range(len(states))]  # columns[q][p] = p * q
-    for q in range(1, len(states)):
-        columns.append(list(map(right[last[q]].__getitem__, columns[parent[q]])))
-    return states, words, tuple(zip(*columns))
+    left = [[r[0]] for r in right]  # left[k][q] = k * q
+    for row in left:
+        for k, i in zip(last[1:], parent[1:]):
+            row.append(right[k][row[i]])
+    # read_at[k](rows[i]) is row i read at left[k]; with two or more states
+    # it is a tuple (with one there is no row to read)
+    read_at = [itemgetter(*row) for row in left]
+    rows = [tuple(range(len(states)))]
+    for p in range(1, len(states)):
+        rows.append(read_at[last[p]](rows[parent[p]]))
+    return states, words, tuple(rows)
 
 
 def generate_from_transformations(
@@ -387,22 +399,21 @@ def _classify(keys) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
 
 
 def greens(M: FiniteMonoid) -> GreensData:
-    """Green's relations from the defining ideals xM, Mx, MxM; MxM is the
-    union of the left ideals Mr over r in xM."""
-    n = M.order
+    """Green's relations from the defining ideals xM, Mx, MxM.  MxM is built
+    once per R-class, and J(a) <= J(b) exactly when a is in MbM."""
     t = M.table
-    rng = range(n)
-    r_ideal = [frozenset(t[x]) for x in rng]
-    l_ideal = [frozenset(t[y][x] for y in rng) for x in rng]
-    # A set of left ideals, so each distinct one is merged once: merging
-    # all |xM| of them leaves the frozensets' tables half empty (T4: +1 MB).
-    j_ideal = [frozenset().union(*{l_ideal[r] for r in r_ideal[x]}) for x in rng]
+    r_ideal = [frozenset(row) for row in t]
+    l_ideal = [frozenset(col) for col in zip(*t)]
     r_of, r_classes = _classify(r_ideal)
     l_of, l_classes = _classify(l_ideal)
-    j_of, j_classes = _classify(j_ideal)
-    h_of, h_classes = _classify(list(zip(r_ideal, l_ideal)))
+    h_of, h_classes = _classify(zip(r_of, l_of))
+    # MxM is the union of the left ideals Mr over r in xM, taken as a set so
+    # each distinct one is merged once (merging all |xM| of them leaves the
+    # frozensets' tables half empty; T4: +1 MB)
+    j_ideal = [frozenset().union(*{l_ideal[r] for r in r_ideal[c[0]]}) for c in r_classes]
+    j_of, j_classes = _classify([j_ideal[r] for r in r_of])
     reps = [cls[0] for cls in j_classes]
-    j_leq = tuple(tuple(j_ideal[a] <= j_ideal[b] for b in reps) for a in reps)
+    j_leq = tuple(zip(*(map(j_ideal[r_of[b]].__contains__, reps) for b in reps)))
     return GreensData(r_of, l_of, j_of, h_of,
                       r_classes, l_classes, j_classes, h_classes, j_leq)
 

@@ -17,7 +17,8 @@ from monoidkit.catalog import (b21, catalog, fixtures, flipflop, n3, t2, trivial
                                z2, z3)
 from monoidkit.cli import cli_dispatch
 from monoidkit.monoid import (DEFAULT_ELEMENT_CAP, FiniteMonoid, GreensData,
-                              _check_name, _classify, configured_cap)
+                              _check_name, _classify, _light_test,
+                              configured_cap)
 from helpers import M52_GENS, T3_GENS, T4_GENS
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -90,6 +91,25 @@ def greens_brute(M):
     r_ideal = [frozenset(t[x]) for x in rng]
     l_ideal = [frozenset(t[y][x] for y in rng) for x in rng]
     j_ideal = [frozenset(t[t[u][x]][v] for u in rng for v in rng) for x in rng]
+    r_of, r_classes = _classify(r_ideal)
+    l_of, l_classes = _classify(l_ideal)
+    j_of, j_classes = _classify(j_ideal)
+    h_of, h_classes = _classify(list(zip(r_ideal, l_ideal)))
+    reps = [cls[0] for cls in j_classes]
+    j_leq = tuple(tuple(j_ideal[a] <= j_ideal[b] for b in reps) for a in reps)
+    return GreensData(r_of, l_of, j_of, h_of,
+                      r_classes, l_classes, j_classes, h_classes, j_leq)
+
+
+def greens_by_subsets(M):
+    """Oracle: Green's relations with MxM built once per element and the
+    J-order as (#J)^2 subset tests between J-ideals."""
+    n = M.order
+    t = M.table
+    rng = range(n)
+    r_ideal = [frozenset(t[x]) for x in rng]
+    l_ideal = [frozenset(t[y][x] for y in rng) for x in rng]
+    j_ideal = [frozenset().union(*{l_ideal[r] for r in r_ideal[x]}) for x in rng]
     r_of, r_classes = _classify(r_ideal)
     l_of, l_classes = _classify(l_ideal)
     j_of, j_classes = _classify(j_ideal)
@@ -205,6 +225,20 @@ def test_validate_matches_brute_oracle(oracle_monoids, cat):
             assert validate_verdict(FiniteMonoid.validate, Mx) == verdict
             failures += verdict is not None and verdict.startswith("not associative")
     assert failures > 100   # the sample does reach the fallback path
+
+
+def test_unknown_element_error_names_the_first_unknown_token():
+    text = "elements: a b\nidentity: a\ntable:\na b\nb y x\n"
+    with pytest.raises(InputError, match="line 5: expected 2 entries, got 3"):
+        load_table(text)
+    text = "elements: a b\nidentity: a\ntable:\na b\ny x\n"
+    with pytest.raises(InputError) as exc:
+        load_table(text)
+    assert str(exc.value) == "line 5: unknown element 'y'"
+
+
+def test_light_test_on_the_one_element_table():
+    assert _light_test(((0,),)) is True
 
 
 def test_load_rejects_bad_identity():
@@ -445,6 +479,19 @@ def test_regular_examples():
 def test_greens_matches_brute_oracle(oracle_monoids):
     for M in oracle_monoids.values():
         assert greens(M) == greens_brute(M)
+
+
+def test_greens_matches_subset_oracle(cat, fx):
+    # T4, M52, the order-160 T2 expansion at n = 3 and the catalog
+    # expansions at n = 4
+    T2, g2 = fx["t2"]
+    monoids = [generate_from_transformations(4, T4_GENS)[0],
+               generate_from_transformations(4, M52_GENS)[0],
+               build_expansion(T2, g2, 3).as_monoid(),
+               *(build_expansion(M, g, 4).as_monoid() for M, g in cat.values())]
+    assert [M.order for M in monoids] == [256, 52, 160, 1, 5, 83, 157, 137]
+    for M in monoids:
+        assert greens(M) == greens_by_subsets(M)
 
 
 def test_regular_witness_is_valid(oracle_monoids):
