@@ -19,6 +19,7 @@ import hashlib
 import sys
 import time
 from collections import Counter
+from itertools import compress
 from types import SimpleNamespace
 
 from .expansion import ExpandedMonoid, build_expansion, check_eta_aperiodic
@@ -115,7 +116,7 @@ def _cmd_greens(args) -> tuple[dict[str, str], int]:
 
     # one pass over j_leq in (a, b) order, so the pairs come out sorted
     strict = [(a, b) for a, row in enumerate(gd.j_leq)
-              for b, leq in enumerate(row) if leq and a != b]
+              for b in compress(range(len(row)), row) if a != b]
     fields |= {
         "r_classes": classes(gd.r_classes),
         "l_classes": classes(gd.l_classes),

@@ -129,25 +129,25 @@ def _greedy_generators(t: Sequence[Sequence[int]]) -> list[int]:
     return gens
 
 
-def _light_test(t: tuple[tuple[int, ...], ...]) -> bool:
-    """Light's associativity test over a generating set A, O(n^2 * |A|).
-
-    It checks (x*a)*y == x*(a*y) for every a in A and all x, y.  The a that
-    pass are closed under the product without assuming associativity:
-    x*(ab) = (xa)b, then ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y).  Every
-    element is a product of elements of A, so passing for A means the table
-    is associative (Clifford & Preston, vol. I, section 1.2).
-    """
+def _first_violation(t: tuple[tuple[int, ...], ...],
+                     middles: Iterable[int]) -> tuple[int, int] | None:
+    """The least pair (a, b), a over all rows in order and b over middles,
+    whose row of (a*b)*c differs from row a read through itemgetter(*t[b]),
+    a*(b*c); None if there is none.  Over a generating set A of middles it
+    is Light's test, O(n^2 * |A|): the b that pass are closed under the
+    product without associativity, x*(bd) = (xb)d, then ((xb)d)y = (xb)(dy)
+    = x(b(dy)) = x((bd)y), so None means t is associative (Clifford &
+    Preston, vol. I, section 1.2)."""
     if len(t) == 1:
         # itemgetter of a single index returns an entry, not a tuple; the
         # only one-element table in range, ((0,),), is associative
-        return True
-    for a in _greedy_generators(t):
-        row_a = itemgetter(*t[a])
-        for rx in t:
-            if t[rx[a]] != row_a(rx):
-                return False
-    return True
+        return None
+    getters = [(b, itemgetter(*t[b])) for b in middles]
+    for a, ra in enumerate(t):
+        for b, row_b in getters:
+            if t[ra[b]] != row_b(ra):
+                return a, b
+    return None
 
 
 class FiniteMonoid(Record):
@@ -213,22 +213,18 @@ class FiniteMonoid(Record):
             raise InputError("duplicate element names")
         if len(self.table) != n or any(len(row) != n for row in self.table):
             raise InputError("table is not order x order")
-        for row in self.table:
-            for v in row:
-                if not 0 <= v < n:
-                    raise InputError(f"table entry {v} out of range")
         t = self.table
-        if not _light_test(t):
-            # Light's test found a violating triple, so this loop raises; it
-            # runs only to name the lexicographically first one
-            for a in range(n):
-                for b in range(n):
-                    ab = t[a][b]
-                    for c in range(n):
-                        if t[ab][c] != t[a][t[b][c]]:
-                            na, nb, nc = self.names[a], self.names[b], self.names[c]
-                            raise InputError(
-                                f"not associative: ({na}*{nb})*{nc} != {na}*({nb}*{nc})")
+        if not set().union(*t) <= set(range(n)):
+            bad = next((v for row in t for v in row if not 0 <= v < n), None)
+            if bad is not None:
+                raise InputError(f"table entry {bad} out of range")
+        if _first_violation(t, _greedy_generators(t)) is not None:
+            # Light's test failed: name the lexicographically first triple
+            a, b = _first_violation(t, range(n))
+            c = next(c for c in range(n) if t[t[a][b]][c] != t[a][t[b][c]])
+            na, nb, nc = self.names[a], self.names[b], self.names[c]
+            raise InputError(
+                f"not associative: ({na}*{nb})*{nc} != {na}*({nb}*{nc})")
         e = self.identity
         if not 0 <= e < n:
             raise InputError("identity index out of range")

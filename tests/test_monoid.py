@@ -17,7 +17,7 @@ from monoidkit.catalog import (b21, catalog, fixtures, flipflop, n3, t2, trivial
                                z2, z3)
 from monoidkit.cli import cli_dispatch
 from monoidkit.monoid import (DEFAULT_ELEMENT_CAP, FiniteMonoid, GreensData,
-                              _check_name, _classify, _light_test,
+                              _check_name, _classify, _first_violation,
                               configured_cap)
 from helpers import M52_GENS, T3_GENS, T4_GENS
 
@@ -238,7 +238,27 @@ def test_unknown_element_error_names_the_first_unknown_token():
 
 
 def test_light_test_on_the_one_element_table():
-    assert _light_test(((0,),)) is True
+    assert _first_violation(((0,),), [0]) is None
+
+
+@pytest.mark.parametrize("n, edits, expected", [
+    # one violation in the last rows, with every element a generator
+    (60, {(59, 58): 58}, "(z59*z59)*z58 != z59*(z59*z58)"),
+    # the only violating pairs (a, b) are (z2, z6), from z6*z7 = z4 and
+    # z2*z4 = z8, and (z5, z3), from z3*z10 = z11 and z5*z11 = z12: a scan
+    # with b outer would name the second
+    (14, {(6, 7): 4, (2, 4): 8, (3, 10): 11, (5, 11): 12},
+     "(z2*z6)*z7 != z2*(z6*z7)"),
+], ids=["late", "crossed"])
+def test_validate_names_the_first_triple_of_a_late_violation(n, edits, expected):
+    # a null monoid with identity: 1, 0, z2..z{n-1}, every other product 0
+    names = ("1", "0", *(f"z{i}" for i in range(2, n)))
+    rows = [list(range(n)), *([x] + [1] * (n - 1) for x in range(1, n))]
+    for (x, y), v in edits.items():
+        rows[x][y] = v
+    M = FiniteMonoid(names, 0, tuple(map(tuple, rows)))
+    assert validate_verdict(validate_brute, M) == f"not associative: {expected}"
+    assert validate_verdict(FiniteMonoid.validate, M) == f"not associative: {expected}"
 
 
 def test_load_rejects_bad_identity():
