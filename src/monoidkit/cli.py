@@ -15,10 +15,8 @@ abbreviated options.
 
 from __future__ import annotations
 
-import hashlib
 import sys
 import time
-from collections import Counter
 from itertools import compress
 from types import SimpleNamespace
 
@@ -33,9 +31,21 @@ from .shadows import (ProfileMismatch, group_element_shadow,
                       ideal_product_shadow, parse_term, replay_factorization)
 from .words import CutProfile, cut, lemma_factor, word_image
 
+# The interpreter's own SHA-256 module, _sha2 from 3.12 and _sha256 before:
+# hashlib would load OpenSSL's _hashlib, about a sixth of a launch.  A build
+# without it falls back to hashlib.
+try:
+    if sys.version_info >= (3, 12):
+        from _sha2 import sha256 as _sha256
+    else:
+        from _sha256 import sha256 as _sha256
+except ImportError:
+    from hashlib import sha256 as _sha256
+
 
 def _digest(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()[:12]
+    """The `input=` field: the first 12 hex digits of the SHA-256 of data."""
+    return _sha256(data).hexdigest()[:12]
 
 
 def _read(path: str) -> tuple[str, dict[str, str]]:
@@ -168,7 +178,10 @@ def _cmd_expand(args) -> tuple[dict[str, str], int]:
     g = _parse_map(M, args.gens)
     E = build_expansion(M, g, args.n)
     aper, witness = check_eta_aperiodic(E)
-    fibers = sorted(Counter(E.eta).items())
+    counts: dict[int, int] = {}
+    for e in E.eta:
+        counts[e] = counts.get(e, 0) + 1
+    fibers = sorted(counts.items())
     fields |= {
         "n": str(args.n),
         "base_order": str(M.order),
@@ -347,8 +360,8 @@ _COMMANDS = {
 def _build_parser():
     """The argparse parser of _COMMANDS.  It prints help and usage errors,
     and parses what _parse_plain declines; argparse is imported only here,
-    since with the re, enum and gettext modules it loads it costs about a
-    third of a launch."""
+    since with the re, enum, gettext, functools and collections modules it
+    loads, building this parser takes longer than a whole plain launch."""
     import argparse
 
     class _ArgumentParser(argparse.ArgumentParser):

@@ -9,13 +9,27 @@ map eta is a morphism onto the generated submonoid.
 
 from __future__ import annotations
 
-from functools import cached_property, reduce
-
 from .monoid import (FiniteMonoid, GeneratorMap, InputError, Record, _closure,
-                     configured_cap)
+                     _product, configured_cap)
 from .words import CutProfile, _spread, _squeeze, _step
 
 DEFAULT_PROFILE_CAP = 20_000
+
+
+class _cached:
+    """functools.cached_property without importing functools: a non-data
+    descriptor whose first read stores the value on the instance, where
+    every later read finds it first."""
+
+    def __init__(self, fn):
+        self.fn, self.name = fn, fn.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = self.fn(obj)
+        object.__setattr__(obj, self.name, value)
+        return value
 
 
 def letter_profile(M: FiniteMonoid, g: GeneratorMap, a: str, n: int) -> CutProfile:
@@ -73,11 +87,11 @@ class ExpandedMonoid(Record):
     def identity(self) -> int:
         return 0
 
-    @cached_property
+    @_cached
     def index(self) -> dict[CutProfile, int]:
         return {p: i for i, p in enumerate(self.profiles)}
 
-    @cached_property
+    @_cached
     def names(self) -> tuple[str, ...]:
         return tuple(f"P{i}" for i in range(self.order))
 
@@ -123,7 +137,7 @@ def build_expansion(
         start, lambda s, k: frozenset(_step(M, n, s, images[k])), len(images),
         cap, f"expansion exceeded cap of {cap} profiles", key=encoding)
     # every sequence of a profile multiplies to the same image
-    eta = tuple(reduce(M.mul, next(iter(s)), M.identity) for s in seqs)
+    eta = tuple(_product(M, next(iter(s))) for s in seqs)
     return ExpandedMonoid(M, g, n, tuple(map(spread.__getitem__, seqs)), table, eta,
                           tuple("".join(map(alphabet.__getitem__, w)) for w in words))
 

@@ -7,10 +7,11 @@ this module is safe to share between threads.
 
 from __future__ import annotations
 
-import os
-from collections.abc import Iterable, Mapping, Sequence
-from functools import reduce
 from operator import attrgetter, itemgetter
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Iterable, Mapping, Sequence
 
 DEFAULT_ELEMENT_CAP = 512
 
@@ -81,7 +82,10 @@ class Record:
 
 def configured_cap(default: int) -> int:
     """Default element/state cap, overridable via MONO_CAP (a positive
-    integer)."""
+    integer).  os is imported here, so only the commands that build a
+    closure load it."""
+    import os
+
     raw = os.environ.get("MONO_CAP")
     if not raw:
         return default
@@ -93,6 +97,14 @@ def configured_cap(default: int) -> int:
     if cap < 1:
         raise bad
     return cap
+
+
+def _product(M: FiniteMonoid, xs: Iterable[int]) -> int:
+    """The product of the elements xs, in order; the identity if empty."""
+    t, p = M.table, M.identity
+    for x in xs:
+        p = t[p][x]
+    return p
 
 
 def _check_name(name: str) -> None:
@@ -497,5 +509,4 @@ def minimal_ideal(M: FiniteMonoid) -> tuple[int, ...]:
     """The kernel: the unique smallest ideal."""
     # The product of all elements lies in every ideal, so its principal
     # ideal is contained in every ideal and is itself one.
-    p = reduce(M.mul, range(M.order), M.identity)
-    return ideal_generated(M, (p,))
+    return ideal_generated(M, (_product(M, range(M.order)),))

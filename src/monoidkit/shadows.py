@@ -10,13 +10,16 @@ including honest failures.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-from functools import cache, partial, reduce
 
 from .formats import _numeral
 from .monoid import (CapExceeded, FiniteMonoid, GeneratorMap, InputError,
-                     Record, ideal_generated, ideal_product, is_group_element)
+                     Record, _product, ideal_generated, ideal_product,
+                     is_group_element)
 from .words import FactorWitness, cut, lemma_factor, match_factorization, word_image
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Sequence
 
 
 class Letter(Record):
@@ -181,7 +184,7 @@ def group_element_shadow(M: FiniteMonoid) -> StabilitySweep:
     The powers of a enter a cycle of length p at some index i, so
     a^n == a^(n+lam) exactly when n >= i and p divides lam."""
     bad = []
-    group = cache(partial(is_group_element, M))  # once per stable power
+    group: dict[int, bool] = {}  # is_group_element, once per stable power
     for a in range(M.order):
         pw, first = [M.identity], {M.identity: 0}
         x = M.table[M.identity][a]
@@ -191,7 +194,10 @@ def group_element_shadow(M: FiniteMonoid) -> StabilitySweep:
             x = M.table[x][a]
         i, p = first[x], len(pw) - first[x]
         for nn in range(max(i, 1), M.order + 2):
-            if not group(pw[i + (nn - i) % p]):
+            s = pw[i + (nn - i) % p]
+            if s not in group:
+                group[s] = is_group_element(M, s)
+            if not group[s]:
                 bad += [(a, nn, lam) for lam in range(p, M.order + 1, p)]
     return StabilitySweep(not bad, tuple(bad), M.order * M.order * (M.order + 1))
 
@@ -233,8 +239,10 @@ def ideal_product_shadow(
     ideals = [ideal_generated(M, tuple(evaluate(t, M, g) for t in gens))
               for gens in ideal_gens]
     ideal_sets = [set(I) for I in ideals]
-    product = reduce(M.mul, avals, M.identity)
-    iprod = reduce(lambda I, J: ideal_product(M, I, J), ideals)
+    product = _product(M, avals)
+    iprod = ideals[0]
+    for I in ideals[1:]:
+        iprod = ideal_product(M, iprod, I)
     membership = tuple(
         tuple(avals[i] in ideal_sets[j] for j in range(n)) for i in range(m))
     hypothesis = product in set(iprod)

@@ -6,11 +6,14 @@ allowed everywhere and evaluate to the identity.
 
 from __future__ import annotations
 
-from collections.abc import Collection, Iterable, Iterator, Sequence
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
 from .monoid import CapExceeded, FiniteMonoid, GeneratorMap, InputError, Record
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Collection, Iterable, Iterator, Sequence
 
 MAX_PROFILE_TUPLES = 100_000
 

@@ -14,7 +14,8 @@ import pytest
 from monoidkit import (InputError, dfa_to_transition_monoid, load_table,
                        parse_dfa, parse_tgen, serialize_monoid)
 from monoidkit.catalog import b21, flipflop, n3, t2, trivial, z2, z3
-from monoidkit.cli import _COMMANDS, _build_parser, _parse_plain, cli_dispatch
+from monoidkit.cli import (_COMMANDS, _build_parser, _digest, _parse_plain,
+                           cli_dispatch)
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXDIR = ROOT / "fixtures"
@@ -539,6 +540,65 @@ def test_cli_import_loads_no_thread_machinery():
     lines = out.splitlines()
     assert lines[0] == "[]"
     assert lines[-2:] == [str([0] * len(argvs)), "[]"]
+
+
+def _has_builtin_sha256() -> bool:
+    for name in ("_sha2", "_sha256"):
+        try:
+            __import__(name)
+            return True
+        except ImportError:
+            pass
+    return False
+
+
+# the subcommands whose closure reads MONO_CAP, and so imports os
+READS_MONO_CAP = {"expand", "from-dfa", "from-tgen"}
+
+
+def test_cli_import_loads_no_openssl_functools_or_collections():
+    # the digest comes from the interpreter's own SHA-256 module, not from
+    # hashlib, which loads OpenSSL's _hashlib; functools and collections are
+    # not used at all, and os only where MONO_CAP is read.  Each command runs
+    # in a fresh interpreter, since a module once loaded stays loaded.
+    forbidden = {"functools", "collections", "collections.abc"}
+    if _has_builtin_sha256():
+        forbidden |= {"hashlib", "_hashlib"}
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import monoidkit.cli; "
+             f"names = {sorted(forbidden | {'os'})!r}; "
+             "loaded = lambda: [n for n in names if n in sys.modules]; "
+             "print(loaded()); print(monoidkit.cli.cli_dispatch(sys.argv[2:])); "
+             "print(loaded())")
+    assert sorted(argv[0] for argv in COMMANDS) == sorted(_COMMANDS)
+    for argv in COMMANDS:
+        out = subprocess.run(
+            [sys.executable, "-I", "-S", "-c", probe, str(SRCDIR),
+             *map(str, argv), "--format", "machine"],
+            capture_output=True, text=True, check=True).stdout
+        lines = out.splitlines()
+        after = ["os"] if argv[0] in READS_MONO_CAP else []
+        assert [lines[0], *lines[-2:]] == ["[]", "0", str(after)], argv
+
+
+DIGEST_INPUTS = [path.read_bytes() for path in sorted(FIXDIR.iterdir())] + [
+    b"", b"\xff\xfe a\x80\n\xc3("]
+
+
+def test_digest_is_the_sha256_prefix():
+    for data in DIGEST_INPUTS:
+        assert _digest(data) == hashlib.sha256(data).hexdigest()[:12]
+
+
+def test_digest_falls_back_to_hashlib():
+    # without the interpreter's own SHA-256 module, hashlib's sha256 is used
+    probe = ("import sys; sys.modules['_sha256'] = sys.modules['_sha2'] = None; "
+             "sys.path.insert(0, sys.argv[1]); import monoidkit.cli as c; "
+             "print('hashlib' in sys.modules); "
+             f"print([c._digest(d) for d in {DIGEST_INPUTS!r}])")
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", probe, str(SRCDIR)],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == [
+        "True", str([hashlib.sha256(d).hexdigest()[:12] for d in DIGEST_INPUTS])]
 
 
 def test_cli_help_and_usage_errors_come_from_argparse():

@@ -80,10 +80,19 @@ def test_records_copy_and_pickle():
 
 def test_expanded_monoid_index_is_cached(cat):
     E = build_expansion(*cat["z2"], 2)
+    fresh = build_expansion(*cat["z2"], 2)
+    before = hash(E), repr(E)
     assert E.index is E.index
+    assert E.names is E.names
     assert E.index == {p: i for i, p in enumerate(E.profiles)}
+    assert E.names == ("P0", "P1", "P2")
+    # the cached values are not fields: equality, hash and repr ignore them
+    assert E == fresh and fresh == E
+    assert (hash(E), repr(E)) == before == (hash(fresh), repr(fresh))
     with pytest.raises(AttributeError):
         E.n = 3
+    with pytest.raises(AttributeError):
+        E.index = {}
 
 
 class Pair(Record):

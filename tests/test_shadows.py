@@ -1,6 +1,7 @@
 import os
 import random
 import time
+from functools import cache, partial
 
 import pytest
 
@@ -10,6 +11,7 @@ from monoidkit import (CapExceeded, Concat, InputError, Letter, OmegaPower,
                        group_element_shadow, ideal_generated,
                        ideal_product_shadow, is_group_element, parse_term,
                        replay_factorization, term_text, word_image)
+from monoidkit import shadows
 from monoidkit.catalog import flipflop, n3, z2
 from monoidkit.monoid import FiniteMonoid
 from monoidkit.shadows import MAX_REPLAY_WORK, MAX_TERM_DEPTH
@@ -159,7 +161,9 @@ def mutated_tables(M, rng, count):
         yield FiniteMonoid(M.names, M.identity, tuple(map(tuple, table)))
 
 
-def test_sweep_matches_brute_oracle(fx, cat):
+def sweep_cases(fx, cat):
+    """Every fixture, T3, M52, the catalog expansions at n = 1 and 2, and
+    60 mutated tables of each fixture and of T3."""
     T3, _ = generate_from_transformations(3, T3_GENS)
     M52, _ = generate_from_transformations(4, M52_GENS)
     bases = [M for M, _ in fx.values()] + [T3]
@@ -170,14 +174,54 @@ def test_sweep_matches_brute_oracle(fx, cat):
     rng = random.Random(int(os.environ.get("MONO_SEED", "0")))
     for M in bases:
         cases += mutated_tables(M, rng, 60)
+    return cases
+
+
+def test_sweep_matches_brute_oracle(fx, cat):
     outcomes = []
-    for M in cases:
+    for M in sweep_cases(fx, cat):
         got = sweep_outcome(group_element_shadow, M)
         assert got == sweep_outcome(group_element_shadow_brute, M), M.table
         outcomes.append(got)
     # the mutations reach both a violated verdict and a raise
     assert any(isinstance(o, StabilitySweep) and not o.holds for o in outcomes)
     assert any(isinstance(o, tuple) for o in outcomes)
+
+
+def group_element_shadow_cached(M: FiniteMonoid) -> StabilitySweep:
+    """The sweep as it was with functools, kept as an oracle of the order in
+    which the sweep asks is_group_element: once per stable power, first
+    asked first."""
+    bad = []
+    group = cache(partial(shadows.is_group_element, M))
+    for a in range(M.order):
+        pw, first = [M.identity], {M.identity: 0}
+        x = M.table[M.identity][a]
+        while x not in first:
+            first[x] = len(pw)
+            pw.append(x)
+            x = M.table[x][a]
+        i, p = first[x], len(pw) - first[x]
+        for nn in range(max(i, 1), M.order + 2):
+            if not group(pw[i + (nn - i) % p]):
+                bad += [(a, nn, lam) for lam in range(p, M.order + 1, p)]
+    return StabilitySweep(not bad, tuple(bad), M.order * M.order * (M.order + 1))
+
+
+def test_sweep_asks_is_group_element_as_the_cached_sweep_did(fx, cat, monkeypatch):
+    calls = []
+
+    def spy(M, x):
+        calls.append(x)
+        return is_group_element(M, x)
+
+    monkeypatch.setattr(shadows, "is_group_element", spy)
+    for M in sweep_cases(fx, cat):
+        got = sweep_outcome(group_element_shadow, M)
+        asked, calls[:] = calls[:], []
+        assert got == sweep_outcome(group_element_shadow_cached, M), M.table
+        assert asked == calls and len(set(asked)) == len(asked), M.table
+        calls.clear()
 
 
 def test_sweep_on_t4_does_not_hang():
