@@ -260,6 +260,23 @@ class GeneratorMap(Record):
             raise InputError(f"unknown letter {letter!r}") from None
 
 
+def _reach(t: Sequence[Sequence[int]], found: list[int], right: Sequence[int],
+           left: Sequence[int] = ()) -> list[int]:
+    """Extend found, a list of distinct elements, in place to its closure
+    under x*a for a in right and a*x for a in left, and return it.  Each
+    element is multiplied by each of them once, O(|closure| * (|right| +
+    |left|))."""
+    seen = set(found)
+    cols = [t[a] for a in left]
+    for x in found:  # the loop also visits the elements appended below
+        row = t[x]
+        for q in [*map(row.__getitem__, right), *(c[x] for c in cols)]:
+            if q not in seen:
+                seen.add(q)
+                found.append(q)
+    return found
+
+
 def generator_map(M: FiniteMonoid, mapping: Mapping[str, int]) -> GeneratorMap:
     letters = tuple(mapping)
     images = tuple(mapping[a] for a in letters)
@@ -269,18 +286,8 @@ def generator_map(M: FiniteMonoid, mapping: Mapping[str, int]) -> GeneratorMap:
     for x in images:
         if not 0 <= x < M.order:
             raise InputError(f"generator image {x} out of range")
-    seen = {M.identity}
-    frontier = [M.identity]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for x in images:
-                v = M.table[s][x]
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    return GeneratorMap(letters, images, tuple(sorted(seen)))
+    generated = _reach(M.table, [M.identity], images)
+    return GeneratorMap(letters, images, tuple(sorted(generated)))
 
 
 def _closure(start, step, letters: int, cap: int, message: str, key=None):
@@ -455,15 +462,20 @@ def is_group_element(M: FiniteMonoid, a: int) -> bool:
 
 
 def ideal_generated(M: FiniteMonoid, gens: Iterable[int]) -> tuple[int, ...]:
-    """The two-sided ideal {x*a*y : a in gens}, as a sorted element tuple."""
-    gens = tuple(gens)
+    """The two-sided ideal {x*a*y : a in gens}, as a sorted element tuple.
+
+    Every element of M is a product of the greedy generators A, so M*G*M
+    is the closure of G under multiplication by A on either side: O(|I| *
+    |A|) for the ideal I, after O(order * |A|) to find A."""
+    gens = dict.fromkeys(gens)
     if not gens:
         raise InputError("ideal needs at least one generator")
+    for x in gens:
+        if not 0 <= x < M.order:
+            raise InputError(f"ideal generator {x} out of range")
     t = M.table
-    # M*(gens*M): the right ideal gens*M is a union of rows, then one lookup
-    # per (x, r), as in greens' J-ideals
-    right = set().union(*(t[a] for a in gens))
-    return tuple(sorted({row[r] for row in t for r in right}))
+    A = _greedy_generators(t)
+    return tuple(sorted(_reach(t, list(gens), A, A)))
 
 
 def ideal_product(M: FiniteMonoid, I: Iterable[int], J: Iterable[int]) -> tuple[int, ...]:
@@ -473,13 +485,10 @@ def ideal_product(M: FiniteMonoid, I: Iterable[int], J: Iterable[int]) -> tuple[
 
 
 def is_ideal(M: FiniteMonoid, S: Iterable[int]) -> bool:
-    """Non-empty and closed under multiplication on either side; with an
-    identity this is the same as closure under x*a*y."""
+    """Non-empty, inside 0..order-1 and closed under multiplication on
+    either side; with an identity this is M*S*M == S."""
     s = set(S)
-    if not s:
-        return False
-    t = M.table
-    return all(t[x][a] in s and t[a][x] in s for a in s for x in range(M.order))
+    return bool(s) and s <= set(range(M.order)) and set(ideal_generated(M, s)) == s
 
 
 def _require_ideal(M: FiniteMonoid, S: Iterable[int]) -> set[int]:
@@ -501,8 +510,13 @@ def is_prime_ideal(M: FiniteMonoid, I: Iterable[int]) -> tuple[bool, tuple[int, 
 
 
 def is_idempotent_ideal(M: FiniteMonoid, I: Iterable[int]) -> bool:
+    """I*I == I, decided as: I is generated by its idempotents E.  If I =
+    M*E*M, each a = u*e*v in I is (u*e)*(e*v), in I*I.  Conversely, if I*I
+    = I then each a in I is a product of more than order factors from I;
+    two of its prefixes are equal, p = p*w with w in I, so p = p*w^omega
+    and a lies in M*e*M for the idempotent e = w^omega of I."""
     inside = _require_ideal(M, I)
-    return ideal_product(M, inside, inside) == tuple(sorted(inside))
+    return set(ideal_generated(M, [e for e in inside if M.is_idempotent(e)])) == inside
 
 
 def minimal_ideal(M: FiniteMonoid) -> tuple[int, ...]:

@@ -13,8 +13,7 @@ import math
 
 from .formats import _numeral
 from .monoid import (CapExceeded, FiniteMonoid, GeneratorMap, InputError,
-                     Record, _product, ideal_generated, ideal_product,
-                     is_group_element)
+                     Record, _product, ideal_generated, is_group_element)
 from .words import FactorWitness, cut, lemma_factor, match_factorization, word_image
 
 TYPE_CHECKING = False
@@ -236,13 +235,14 @@ def ideal_product_shadow(
     if m > n:
         raise InputError(f"more elements than ideals ({m} > {n})")
     avals = [evaluate(t, M, g) for t in alphas]
-    ideals = [ideal_generated(M, tuple(evaluate(t, M, g) for t in gens))
-              for gens in ideal_gens]
+    gvals = [tuple(evaluate(t, M, g) for t in gens) for gens in ideal_gens]
+    ideals = [ideal_generated(M, G) for G in gvals]
     ideal_sets = [set(I) for I in ideals]
     product = _product(M, avals)
+    # I*(M*G*M) = (I*G)*M = M*(I*G)*M, since I*M = I = M*I for an ideal I
     iprod = ideals[0]
-    for I in ideals[1:]:
-        iprod = ideal_product(M, iprod, I)
+    for G in gvals[1:]:
+        iprod = ideal_generated(M, {M.table[x][y] for x in iprod for y in G})
     membership = tuple(
         tuple(avals[i] in ideal_sets[j] for j in range(n)) for i in range(m))
     hypothesis = product in set(iprod)

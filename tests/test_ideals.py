@@ -1,9 +1,13 @@
+import time
+
 import pytest
 
-from monoidkit import (InputError, ideal_generated, ideal_product, is_ideal,
+from monoidkit import (InputError, generate_from_transformations,
+                       ideal_generated, ideal_product, is_ideal,
                        is_idempotent_ideal, is_prime_ideal, is_regular,
                        minimal_ideal)
 from monoidkit.catalog import flipflop, n3, z2
+from helpers import T4_GENS
 
 
 def test_ideal_generated_examples():
@@ -18,6 +22,31 @@ def test_ideal_generated_examples():
 def test_ideal_generated_needs_generators():
     with pytest.raises(InputError):
         ideal_generated(n3(), [])
+
+
+def test_ideal_generators_and_sets_must_be_in_range():
+    Mn = n3()
+    for x in (-1, 3):
+        with pytest.raises(InputError, match=f"^ideal generator {x} out of range$"):
+            ideal_generated(Mn, [0, x])
+    M = z2()
+    assert not is_ideal(M, {0, 1, -1})
+    assert not is_ideal(M, {0, 1, 2})
+    with pytest.raises(InputError, match="^input set is not an ideal$"):
+        is_prime_ideal(M, {0, 1, -1})
+
+
+def test_ideal_predicates_on_t4_do_not_hang():
+    # every principal ideal of T4 (256 elements); T4 is regular, so each is
+    # idempotent, and it is prime exactly when its generator has rank 3 or 4
+    # (232 or 256 elements)
+    M, _ = generate_from_transformations(4, T4_GENS)
+    t0 = time.perf_counter()
+    for a in range(M.order):
+        I = ideal_generated(M, [a])
+        assert is_prime_ideal(M, I)[0] == (len(I) in (232, 256))
+        assert is_idempotent_ideal(M, I)
+    assert time.perf_counter() - t0 < 2
 
 
 def test_ideal_product_examples():

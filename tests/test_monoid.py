@@ -1,6 +1,6 @@
 import os
 import random
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from pathlib import Path
 
 import pytest
@@ -8,17 +8,20 @@ import pytest
 import monoidkit.cli
 import monoidkit.formats
 import monoidkit.monoid
-from monoidkit import (CapExceeded, InputError, build_expansion,
-                       dfa_to_transition_monoid, generate_from_transformations,
-                       generator_map, greens, ideal_generated, is_aperiodic,
-                       is_group_element, is_ideal, is_regular, load_table,
-                       parse_dfa, parse_tgen)
+from monoidkit import (CapExceeded, GeneratorMap, InputError, Letter,
+                       MembershipVerdict, build_expansion,
+                       dfa_to_transition_monoid, evaluate,
+                       generate_from_transformations, generator_map, greens,
+                       ideal_generated, ideal_product, ideal_product_shadow,
+                       is_aperiodic, is_group_element, is_ideal,
+                       is_idempotent_ideal, is_regular, load_table, parse_dfa,
+                       parse_tgen)
 from monoidkit.catalog import (b21, catalog, fixtures, flipflop, n3, t2, trivial,
                                z2, z3)
 from monoidkit.cli import cli_dispatch
 from monoidkit.monoid import (DEFAULT_ELEMENT_CAP, FiniteMonoid, GreensData,
                               _check_name, _classify, _first_violation,
-                              configured_cap)
+                              _product, configured_cap)
 from helpers import M52_GENS, T3_GENS, T4_GENS
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -165,6 +168,106 @@ def is_ideal_two_sided(M, S):
     t = M.table
     rng = range(M.order)
     return all(t[t[x][a]][y] in s for a in s for x in rng for y in rng)
+
+
+def is_ideal_by_cells(M, S):
+    """Oracle: non-empty and closed under multiplication on either side,
+    one cell at a time, O(|S| * order)."""
+    s = set(S)
+    if not s:
+        return False
+    t = M.table
+    return all(t[x][a] in s and t[a][x] in s for a in s for x in range(M.order))
+
+
+def is_idempotent_ideal_by_product(M, I):
+    """Oracle: I*I == I, with I*I as the product of every pair."""
+    inside = set(I)
+    if not is_ideal_by_cells(M, inside):
+        raise InputError("input set is not an ideal")
+    return ideal_product(M, inside, inside) == tuple(sorted(inside))
+
+
+def generator_map_bfs(M, mapping):
+    """Oracle: the generated submonoid by breadth-first search from the
+    identity, one generation at a time."""
+    letters = tuple(mapping)
+    images = tuple(mapping[a] for a in letters)
+    for a in letters:
+        if not a:
+            raise InputError("empty letter")
+    for x in images:
+        if not 0 <= x < M.order:
+            raise InputError(f"generator image {x} out of range")
+    seen = {M.identity}
+    frontier = [M.identity]
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for x in images:
+                v = M.table[s][x]
+                if v not in seen:
+                    seen.add(v)
+                    nxt.append(v)
+        frontier = nxt
+    return GeneratorMap(letters, images, tuple(sorted(seen)))
+
+
+def ideal_product_shadow_fold(M, g, alphas, ideal_gens):
+    """Oracle: ideal_product_shadow with the product of the ideals folded
+    by ideal_product, O(|I| * |J|) per step."""
+    m, n = len(alphas), len(ideal_gens)
+    if m < 1 or n < 1:
+        raise InputError("need at least one element and one ideal")
+    if m > n:
+        raise InputError(f"more elements than ideals ({m} > {n})")
+    avals = [evaluate(t, M, g) for t in alphas]
+    ideals = [ideal_generated(M, tuple(evaluate(t, M, g) for t in gens))
+              for gens in ideal_gens]
+    ideal_sets = [set(I) for I in ideals]
+    product = _product(M, avals)
+    iprod = ideals[0]
+    for I in ideals[1:]:
+        iprod = ideal_product(M, iprod, I)
+    membership = tuple(
+        tuple(avals[i] in ideal_sets[j] for j in range(n)) for i in range(m))
+    hypothesis = product in set(iprod)
+    witness = None
+    if hypothesis:
+        for j in range(n):
+            for i in range(m):
+                if membership[i][j]:
+                    witness = (i + 1, j + 1)
+                    break
+            if witness:
+                break
+    return MembershipVerdict(hypothesis, witness, membership, product, iprod)
+
+
+def outcome(f, *args):
+    """f's value, or the type and text of the InputError it raises."""
+    try:
+        return f(*args)
+    except InputError as exc:
+        return type(exc), str(exc)
+
+
+def ideal_oracle_cases(oracle_monoids):
+    """Each oracle monoid, T4 and M52, with every union of at most two
+    principal ideals, each such union less its least element, and 100
+    MONO_SEED-seeded subsets."""
+    rng = random.Random(int(os.environ.get("MONO_SEED", "0")))
+    monoids = [*oracle_monoids.values(),
+               generate_from_transformations(4, T4_GENS)[0],
+               generate_from_transformations(4, M52_GENS)[0]]
+    for M in monoids:
+        principal = {ideal_generated_brute(M, (a,)) for a in range(M.order)}
+        unions = sorted({tuple(sorted({*I, *J}))
+                         for I, J in combinations_with_replacement(principal, 2)})
+        sets = unions + [I[1:] for I in unions]
+        sets += [tuple(rng.sample(range(M.order), rng.randint(1, M.order)))
+                 for _ in range(100)]
+        yield M, sets
 
 
 def test_load_trivial():
@@ -609,6 +712,44 @@ def test_ideal_generated_matches_brute_oracle(oracle_monoids):
     M, _ = generate_from_transformations(4, T4_GENS)
     for a in range(M.order):
         assert ideal_generated(M, (a,)) == ideal_generated_brute(M, (a,))
+
+
+def test_ideal_closures_match_the_old_loops(oracle_monoids):
+    # is_ideal against the cell loop, is_idempotent_ideal against I*I == I
+    # by ideal_product, and generator_map against the breadth-first search:
+    # the same value, or the same exception type and text
+    verdicts = set()
+    for M, sets in ideal_oracle_cases(oracle_monoids):
+        for S in sets:
+            assert is_ideal(M, S) == is_ideal_by_cells(M, S)
+            got = outcome(is_idempotent_ideal, M, S)
+            assert got == outcome(is_idempotent_ideal_by_product, M, S)
+            verdicts.add(got)
+            mapping = dict(zip("abc", S))
+            assert generator_map(M, mapping) == generator_map_bfs(M, mapping)
+        for mapping in ({}, {"a": -1}, {"a": M.order}, {"": 0}):
+            assert (outcome(generator_map, M, mapping)
+                    == outcome(generator_map_bfs, M, mapping))
+    assert True in verdicts and False in verdicts
+
+
+def test_ideal_product_shadow_matches_the_ideal_product_fold(oracle_monoids):
+    # one letter per element; MONO_SEED-seeded sets of one to three ideals,
+    # each generated by one or two letters, and as many elements or fewer
+    rng = random.Random(int(os.environ.get("MONO_SEED", "0")))
+    verdicts = set()
+    for M, _ in ideal_oracle_cases(oracle_monoids):
+        symbols = [chr(0x4E00 + a) for a in range(M.order)]
+        g = generator_map(M, dict(zip(symbols, range(M.order))))
+        for _ in range(30):
+            n = rng.randint(1, 3)
+            ideal_gens = [[Letter(rng.choice(symbols)) for _ in range(rng.randint(1, 2))]
+                          for _ in range(n)]
+            alphas = [Letter(rng.choice(symbols)) for _ in range(rng.randint(1, n))]
+            verdict = ideal_product_shadow(M, g, alphas, ideal_gens)
+            assert verdict == ideal_product_shadow_fold(M, g, alphas, ideal_gens)
+            verdicts.add(verdict.verdict)
+    assert verdicts == {"holds", "violated"}
 
 
 def test_generator_map_records_generated_submonoid():
