@@ -83,7 +83,7 @@ def _pair(M: FiniteMonoid, pair) -> str:
 
 def _profile(M: FiniteMonoid, p: CutProfile) -> str:
     return "{" + ",".join(
-        "(" + ",".join(M.names[x] for x in t) + ")" for t in p.tuples) + "}"
+        "(" + ",".join(map(M.names.__getitem__, t)) + ")" for t in p.tuples) + "}"
 
 
 def _parse_map(M: FiniteMonoid, text: str) -> GeneratorMap:
@@ -170,7 +170,7 @@ def _cmd_cut(args) -> tuple[dict[str, str], int]:
 def _expansion_sidecar(E: ExpandedMonoid) -> str:
     return "".join(
         f"P{i} eta={E.base.names[E.eta[i]]} rep={E.representatives[i]} "
-        f"profile={_profile(E.base, E.profiles[i])}\n" for i in range(E.order))
+        f"profile={_profile(E.base, E.profile(i))}\n" for i in range(E.order))
 
 
 def _cmd_expand(args) -> tuple[dict[str, str], int]:
@@ -194,7 +194,7 @@ def _cmd_expand(args) -> tuple[dict[str, str], int]:
         fields["eta_witness"] = f"({M.names[witness[0]]},P{witness[1]})"
     if args.table:
         fields["table"] = ";".join(
-            f"P{i}:" + ",".join(f"P{v}" for v in row)
+            f"P{i}:" + ",".join(map(E.names.__getitem__, row))
             for i, row in enumerate(E.table))
     if args.out:
         _write(args.out, serialize_monoid(E.as_monoid()))

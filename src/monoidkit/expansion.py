@@ -9,27 +9,11 @@ map eta is a morphism onto the generated submonoid.
 
 from __future__ import annotations
 
-from .monoid import (FiniteMonoid, GeneratorMap, InputError, Record, _closure,
-                     _product, configured_cap)
+from .monoid import (FiniteMonoid, GeneratorMap, InputError, Record, _cached,
+                     _closure, _product, configured_cap)
 from .words import CutProfile, _spread, _squeeze, _step
 
 DEFAULT_PROFILE_CAP = 20_000
-
-
-class _cached:
-    """functools.cached_property without importing functools: a non-data
-    descriptor whose first read stores the value on the instance, where
-    every later read finds it first."""
-
-    def __init__(self, fn):
-        self.fn, self.name = fn, fn.__name__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = self.fn(obj)
-        object.__setattr__(obj, self.name, value)
-        return value
 
 
 def letter_profile(M: FiniteMonoid, g: GeneratorMap, a: str, n: int) -> CutProfile:
@@ -69,23 +53,34 @@ def word_profile(M: FiniteMonoid, g: GeneratorMap, w: str, n: int) -> CutProfile
 
 class ExpandedMonoid(Record):
     """The monoid of reachable cut profiles, with the projection eta onto
-    the base and a shortlex-least representative word per profile."""
+    the base and a shortlex-least representative word per profile.
+
+    Each profile is stored as its set of non-identity sequences, the state
+    the search works on; `profile(i)` spreads one into its n-tuples."""
 
     base: FiniteMonoid
     gmap: GeneratorMap
     n: int
-    profiles: tuple[CutProfile, ...]
+    sequences: tuple[frozenset[tuple[int, ...]], ...]
     table: tuple[tuple[int, ...], ...]
     eta: tuple[int, ...]
     representatives: tuple[str, ...]
 
     @property
     def order(self) -> int:
-        return len(self.profiles)
+        return len(self.sequences)
 
     @property
     def identity(self) -> int:
         return 0
+
+    def profile(self, i: int) -> CutProfile:
+        """Profile i spread into its n-tuples, built afresh on each call."""
+        return _spread(self.base, self.n, self.sequences[i])
+
+    @_cached
+    def profiles(self) -> tuple[CutProfile, ...]:
+        return tuple(map(self.profile, range(self.order)))
 
     @_cached
     def index(self) -> dict[CutProfile, int]:
@@ -111,10 +106,11 @@ def build_expansion(
 ) -> ExpandedMonoid:
     """Breadth-first closure of the identity profile under the letter step
     that `cut` folds over a word, run on each profile's set of non-identity
-    sequences; each new profile is spread into its tuples once.
+    sequences, which is also what the result stores.
 
     Numbering is canonical: each generation of newly reached profiles is
-    sorted by encoding before numbering; representatives are
+    sorted by encoding (its spread tuples, built for the sort and then
+    dropped) before numbering; representatives are
     shortlex-least words.  A non-generating map is fine: the result is the
     expansion of the generated submonoid.
 
@@ -126,19 +122,13 @@ def build_expansion(
     cap = configured_cap(DEFAULT_PROFILE_CAP) if cap is None else cap
     alphabet = sorted(g.alphabet)  # so the least letter-index word is shortlex-least
     images = [g.image(a) for a in alphabet]
-    start = frozenset({()})
-    spread = {start: _spread(M, n, start)}
-
-    def encoding(q):
-        spread[q] = _spread(M, n, q)
-        return spread[q].tuples
-
     seqs, words, table = _closure(
-        start, lambda s, k: frozenset(_step(M, n, s, images[k])), len(images),
-        cap, f"expansion exceeded cap of {cap} profiles", key=encoding)
+        frozenset({()}), lambda s, k: frozenset(_step(M, n, s, images[k])),
+        len(images), cap, f"expansion exceeded cap of {cap} profiles",
+        key=lambda q: _spread(M, n, q).tuples)
     # every sequence of a profile multiplies to the same image
     eta = tuple(_product(M, next(iter(s))) for s in seqs)
-    return ExpandedMonoid(M, g, n, tuple(map(spread.__getitem__, seqs)), table, eta,
+    return ExpandedMonoid(M, g, n, tuple(seqs), table, eta,
                           tuple("".join(map(alphabet.__getitem__, w)) for w in words))
 
 
@@ -163,12 +153,13 @@ def check_refinement(E_hi: ExpandedMonoid, E_lo: ExpandedMonoid) -> bool:
         raise InputError("expansions have different bases or generators")
     if E_hi.n != E_lo.n + 1:
         raise InputError("refinement needs arities n+1 and n")
-    e = E_hi.base.identity
+    # the tuples of a profile that end in the identity are the placements
+    # of its sequences of at most n parts, so truncation keeps those
     n = E_lo.n
+    lo = {q: k for k, q in enumerate(E_lo.sequences)}
     f = []
-    for p in E_hi.profiles:
-        q = CutProfile.make(n, (t[:-1] for t in p.tuples if t[-1] == e))
-        k = E_lo.index.get(q)
+    for p in E_hi.sequences:
+        k = lo.get(frozenset(s for s in p if len(s) <= n))
         if k is None:
             return False
         f.append(k)

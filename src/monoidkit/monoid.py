@@ -80,6 +80,23 @@ class Record:
         return f"{type(self).__qualname__}({fields})"
 
 
+class _cached:
+    """functools.cached_property without importing functools: a non-data
+    descriptor whose first read stores the value on the instance, where
+    every later read finds it first.  Threads that read it first at once
+    each compute the value and store equal ones."""
+
+    def __init__(self, fn):
+        self.fn, self.name = fn, fn.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = self.fn(obj)
+        object.__setattr__(obj, self.name, value)
+        return value
+
+
 def configured_cap(default: int) -> int:
     """Default element/state cap, overridable via MONO_CAP (a positive
     integer).  os is imported here, so only the commands that build a
@@ -178,6 +195,11 @@ class FiniteMonoid(Record):
     def order(self) -> int:
         return len(self.names)
 
+    @_cached
+    def _generators(self) -> tuple[int, ...]:
+        """The greedy generating set of the table, found once per monoid."""
+        return tuple(_greedy_generators(self.table))
+
     def mul(self, x: int, y: int) -> int:
         return self.table[x][y]
 
@@ -230,7 +252,7 @@ class FiniteMonoid(Record):
             bad = next((v for row in t for v in row if not 0 <= v < n), None)
             if bad is not None:
                 raise InputError(f"table entry {bad} out of range")
-        if _first_violation(t, _greedy_generators(t)) is not None:
+        if _first_violation(t, self._generators) is not None:
             # Light's test failed: name the lexicographically first triple
             a, b = _first_violation(t, range(n))
             c = next(c for c in range(n) if t[t[a][b]][c] != t[a][t[b][c]])
@@ -466,16 +488,16 @@ def ideal_generated(M: FiniteMonoid, gens: Iterable[int]) -> tuple[int, ...]:
 
     Every element of M is a product of the greedy generators A, so M*G*M
     is the closure of G under multiplication by A on either side: O(|I| *
-    |A|) for the ideal I, after O(order * |A|) to find A."""
+    |A|) for the ideal I, after O(order * |A|) to find A on the first call
+    for M."""
     gens = dict.fromkeys(gens)
     if not gens:
         raise InputError("ideal needs at least one generator")
     for x in gens:
         if not 0 <= x < M.order:
             raise InputError(f"ideal generator {x} out of range")
-    t = M.table
-    A = _greedy_generators(t)
-    return tuple(sorted(_reach(t, list(gens), A, A)))
+    A = M._generators
+    return tuple(sorted(_reach(M.table, list(gens), A, A)))
 
 
 def ideal_product(M: FiniteMonoid, I: Iterable[int], J: Iterable[int]) -> tuple[int, ...]:
@@ -499,13 +521,15 @@ def _require_ideal(M: FiniteMonoid, S: Iterable[int]) -> set[int]:
 
 
 def is_prime_ideal(M: FiniteMonoid, I: Iterable[int]) -> tuple[bool, tuple[int, int] | None]:
-    """No product of two outside elements may land inside; witness pair otherwise."""
+    """No product of two outside elements may land inside; witness pair
+    otherwise, the least (a, b) in element order.  Each outside row is read
+    whole, and b is looked for only in the first row that fails."""
     inside = _require_ideal(M, I)
     outside = [x for x in range(M.order) if x not in inside]
     for a in outside:
-        for b in outside:
-            if M.table[a][b] in inside:
-                return False, (a, b)
+        row = M.table[a]
+        if not inside.isdisjoint(map(row.__getitem__, outside)):
+            return False, (a, next(b for b in outside if row[b] in inside))
     return True, None
 
 

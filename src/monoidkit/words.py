@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement
 from math import comb
+from operator import itemgetter
 
 from .monoid import CapExceeded, FiniteMonoid, GeneratorMap, InputError, Record
 
@@ -91,18 +92,32 @@ def _squeeze(M: FiniteMonoid, p: CutProfile) -> set[tuple[int, ...]]:
 
 def _spread(M: FiniteMonoid, n: int, seqs: Collection[tuple[int, ...]]) -> CutProfile:
     """Every placement of each sequence into n slots, identity elsewhere (a
-    part of image 1 reads like an empty part, so this inverts _squeeze)."""
+    part of image 1 reads like an empty part, so this inverts _squeeze).
+
+    A placement of k parts is an itemgetter over the sequence with the
+    identity appended at index k; each k's getters are built once per call
+    and shared by all its sequences of k parts."""
     size = sum(comb(n, len(s)) for s in seqs)
     if size > MAX_PROFILE_TUPLES:
         raise CapExceeded(f"cut profile of {size} tuples exceeds cap of "
                           f"{MAX_PROFILE_TUPLES}", size)
+    pad = (M.identity,)
+    if n == 1:  # itemgetter of one index returns an entry, not a tuple
+        return CutProfile(1, tuple(sorted(s or pad for s in seqs)))
+    placements: dict[int, list] = {}
     tuples = []
     for s in seqs:
-        for slots in combinations(range(n), len(s)):
-            t = [M.identity] * n
-            for k, x in zip(slots, s):
-                t[k] = x
-            tuples.append(tuple(t))
+        k = len(s)
+        getters = placements.get(k)
+        if getters is None:
+            getters = placements[k] = []
+            for slots in combinations(range(n), k):
+                index = [k] * n
+                for i, j in enumerate(slots):
+                    index[j] = i
+                getters.append(itemgetter(*index))
+        padded = s + pad
+        tuples += [g(padded) for g in getters]
     return CutProfile(n, tuple(sorted(tuples)))
 
 

@@ -1,6 +1,7 @@
 import os
 import random
 from functools import reduce
+from itertools import combinations
 
 import pytest
 
@@ -10,6 +11,7 @@ from monoidkit import (CapExceeded, CutProfile, InputError, build_expansion,
                        letter_profile, profile_product, word_image,
                        word_profile)
 from monoidkit.catalog import z2, z3
+from monoidkit.cli import _expansion_sidecar
 from monoidkit.expansion import DEFAULT_PROFILE_CAP, ExpandedMonoid
 from monoidkit.monoid import configured_cap
 from monoidkit.words import _spread, _squeeze, _step
@@ -261,8 +263,30 @@ def build_expansion_spread(M, g, n, cap=None):
     for q in range(1, len(profiles)):
         columns.append(list(map(right[last[q]].__getitem__, columns[parent[q]])))
     table = tuple(zip(*columns))
-    return ExpandedMonoid(M, g, n, tuple(profiles), table,
+    return ExpandedMonoid(M, g, n, tuple(frozenset(_squeeze(M, p)) for p in profiles), table,
                           tuple(eta), tuple(words))
+
+
+def spread_by_slots(M, n, seqs):
+    """The earlier _spread, kept as an oracle: each placement written slot
+    by slot into a list of identities."""
+    tuples = []
+    for s in seqs:
+        for slots in combinations(range(n), len(s)):
+            t = [M.identity] * n
+            for k, x in zip(slots, s):
+                t[k] = x
+            tuples.append(tuple(t))
+    return CutProfile(n, tuple(sorted(tuples)))
+
+
+def test_spread_matches_the_slot_loop(fx):
+    # every profile of every fixture expansion at n = 1..4, except b21 at
+    # n = 4, which reaches the profile cap
+    for name, (M, g) in fx.items():
+        for n in range(1, 4 if name == "b21" else 5):
+            for q in build_expansion(M, g, n).sequences:
+                assert _spread(M, n, q) == spread_by_slots(M, n, q), (name, n)
 
 
 def listed_backwards(M, g):
@@ -355,6 +379,9 @@ def test_tuple_cap_comes_before_the_profile_cap(monkeypatch, fx):
 
 
 def test_each_profile_is_spread_once(monkeypatch, cat):
+    # the build spreads each profile it sorts, every one but the identity's;
+    # the sidecar spreads each once more, one line at a time, and keeps
+    # none; the first read of E.profiles spreads each once, a second none
     calls = []
 
     def counting_spread(*args):
@@ -365,7 +392,79 @@ def test_each_profile_is_spread_once(monkeypatch, cat):
     for name, (M, g) in cat.items():
         calls.clear()
         E = build_expansion(M, g, 3)
+        assert len(calls) == E.order - 1, name
+        calls.clear()
+        _expansion_sidecar(E)
+        assert len(calls) == E.order and "profiles" not in vars(E), name
+        calls.clear()
+        profiles = E.profiles
         assert len(calls) == E.order, name
+        assert E.profiles is profiles and len(calls) == E.order, name
+
+
+def check_refinement_by_tuples(E_hi, E_lo):
+    """The earlier check_refinement, kept as an oracle: truncate each
+    spread tuple that ends in the identity and look the result up in
+    E_lo.index."""
+    if E_hi.base != E_lo.base or E_hi.gmap != E_lo.gmap:
+        raise InputError("expansions have different bases or generators")
+    if E_hi.n != E_lo.n + 1:
+        raise InputError("refinement needs arities n+1 and n")
+    e = E_hi.base.identity
+    n = E_lo.n
+    f = []
+    for p in E_hi.profiles:
+        q = CutProfile.make(n, (t[:-1] for t in p.tuples if t[-1] == e))
+        k = E_lo.index.get(q)
+        if k is None:
+            return False
+        f.append(k)
+    if set(f) != set(range(E_lo.order)):
+        return False
+    if f[0] != 0:
+        return False
+    if any(E_lo.eta[f[i]] != E_hi.eta[i] for i in range(E_hi.order)):
+        return False
+    for i in range(E_hi.order):
+        hi_row = E_hi.table[i]
+        for j in range(E_hi.order):
+            if f[hi_row[j]] != E_lo.table[f[i]][f[j]]:
+                return False
+    return True
+
+
+def broken_copies(E):
+    """Copies of E that fail check_refinement on either side: the
+    identity's row swapped with the row of the first profile whose eta is
+    not the identity (the refinement maps it to a profile whose row differs
+    from the identity's too), and the last profile's eta moved to another
+    base element."""
+    x = next((x for x in range(E.order) if E.eta[x] != E.eta[0]), None)
+    if x is not None:
+        table = list(E.table)
+        table[0], table[x] = table[x], table[0]
+        yield ExpandedMonoid(E.base, E.gmap, E.n, E.sequences, tuple(table),
+                             E.eta, E.representatives)
+    if E.base.order > 1:
+        eta = E.eta[:-1] + ((E.eta[-1] + 1) % E.base.order,)
+        yield ExpandedMonoid(E.base, E.gmap, E.n, E.sequences, E.table,
+                             eta, E.representatives)
+
+
+def test_refinement_matches_tuple_truncation_oracle(fx):
+    # every fixture pair (n+1, n) for n = 1..3, except b21 at n = 4, which
+    # reaches the profile cap; copies with a swapped table row or a moved
+    # eta entry on either side must fail both checks
+    for name, (M, g) in fx.items():
+        E = {n: build_expansion(M, g, n) for n in range(1, 4 if name == "b21" else 5)}
+        for n in range(1, len(E)):
+            hi, lo = E[n + 1], E[n]
+            assert check_refinement(hi, lo) is check_refinement_by_tuples(hi, lo) is True
+            broken = [(bad, lo) for bad in broken_copies(hi)]
+            broken += [(hi, bad) for bad in broken_copies(lo)]
+            assert broken or name == "trivial", (name, n)
+            for h, lo_ in broken:
+                assert check_refinement(h, lo_) is check_refinement_by_tuples(h, lo_) is False
 
 
 def _last_nonidentity(t, e):

@@ -14,14 +14,14 @@ from monoidkit import (CapExceeded, GeneratorMap, InputError, Letter,
                        generate_from_transformations, generator_map, greens,
                        ideal_generated, ideal_product, ideal_product_shadow,
                        is_aperiodic, is_group_element, is_ideal,
-                       is_idempotent_ideal, is_regular, load_table, parse_dfa,
-                       parse_tgen)
+                       is_idempotent_ideal, is_prime_ideal, is_regular,
+                       load_table, parse_dfa, parse_tgen)
 from monoidkit.catalog import (b21, catalog, fixtures, flipflop, n3, t2, trivial,
                                z2, z3)
 from monoidkit.cli import cli_dispatch
 from monoidkit.monoid import (DEFAULT_ELEMENT_CAP, FiniteMonoid, GreensData,
                               _check_name, _classify, _first_violation,
-                              _product, configured_cap)
+                              _greedy_generators, _product, configured_cap)
 from helpers import M52_GENS, T3_GENS, T4_GENS
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -186,6 +186,19 @@ def is_idempotent_ideal_by_product(M, I):
     if not is_ideal_by_cells(M, inside):
         raise InputError("input set is not an ideal")
     return ideal_product(M, inside, inside) == tuple(sorted(inside))
+
+
+def is_prime_ideal_by_cells(M, I):
+    """Oracle: is_prime_ideal with one lookup per pair of outside elements."""
+    inside = set(I)
+    if not is_ideal_by_cells(M, inside):
+        raise InputError("input set is not an ideal")
+    outside = [x for x in range(M.order) if x not in inside]
+    for a in outside:
+        for b in outside:
+            if M.table[a][b] in inside:
+                return False, (a, b)
+    return True, None
 
 
 def generator_map_bfs(M, mapping):
@@ -731,6 +744,38 @@ def test_ideal_closures_match_the_old_loops(oracle_monoids):
             assert (outcome(generator_map, M, mapping)
                     == outcome(generator_map_bfs, M, mapping))
     assert True in verdicts and False in verdicts
+
+
+def test_is_prime_ideal_matches_the_cell_loop(fx):
+    # every principal ideal and every union of two of them, on the fixtures,
+    # T3 and M52: the same verdict and the same least witness
+    monoids = [M for M, _ in fx.values()]
+    monoids += [t3(), generate_from_transformations(4, M52_GENS)[0]]
+    verdicts = set()
+    for M in monoids:
+        principal = sorted({ideal_generated(M, (a,)) for a in range(M.order)})
+        for I, J in combinations_with_replacement(principal, 2):
+            S = {*I, *J}
+            got = is_prime_ideal(M, S)
+            assert got == is_prime_ideal_by_cells(M, S), (M.names, sorted(S))
+            verdicts.add(got[0])
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("argv", [["ideal", "N3.mon", "a"], ["info", "N3.mon"]])
+def test_generating_set_is_found_once_per_command(monkeypatch, capsys, argv):
+    # validate, ideal_generated and the ideal predicates share the
+    # monoid's own greedy generating set
+    calls = []
+
+    def counting(t):
+        calls.append(1)
+        return _greedy_generators(t)
+
+    monkeypatch.setattr(monoidkit.monoid, "_greedy_generators", counting)
+    assert cli_dispatch([argv[0], str(FIXDIR / argv[1]), *argv[2:]]) == 0
+    assert capsys.readouterr().out.startswith(f"mono {argv[0]}\n")
+    assert len(calls) == 1
 
 
 def test_ideal_product_shadow_matches_the_ideal_product_fold(oracle_monoids):
