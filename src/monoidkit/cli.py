@@ -444,9 +444,10 @@ def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
 
 
 def _escape(text: str) -> str:
-    # argv bytes that are not UTF-8 are echoed as \xNN, so the text stays UTF-8
-    return (text.encode("utf-8", "surrogateescape")
-            .decode("utf-8", "backslashreplace"))
+    # argv bytes that are not UTF-8 are echoed as \xNN, so the text stays
+    # UTF-8; they are surrogates, which ASCII text cannot hold
+    return text if text.isascii() else (
+        text.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace"))
 
 
 def cli_dispatch(argv) -> int:
@@ -469,13 +470,19 @@ def cli_dispatch(argv) -> int:
         elapsed = (time.perf_counter() - t0) * 1000
         if args.format == "machine":
             fields["command"] = args.command
-            out = "".join(f"{k}={fields[k]}\n" for k in sorted(fields))
+            lines = (f"{k}={fields[k]}\n" for k in sorted(fields))
         else:
-            out = "".join([f"mono {args.command}\n",
-                           *(f"  {k}: {v}\n" for k, v in fields.items()),
-                           f"  elapsed: {elapsed:.1f} ms\n"])
-        sys.stdout.write(_escape(out))
-        return code
+            lines = [f"mono {args.command}\n",
+                     *(f"  {k}: {v}\n" for k, v in fields.items()),
+                     f"  elapsed: {elapsed:.1f} ms\n"]
+        # one line at a time, so a large field is not copied into a joined
+        # report; an OSError on stdout propagates
+        try:
+            for line in lines:
+                sys.stdout.write(_escape(line))
+            return code
+        except MemoryError:
+            message = "out of memory"
     sys.stderr.write(_escape(f"error: {message}\n"))
     return 2
 

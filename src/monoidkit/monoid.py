@@ -179,6 +179,25 @@ def _first_violation(t: tuple[tuple[int, ...], ...],
     return None
 
 
+def _cycle(t: Sequence[Sequence[int]], e: int,
+           a: int) -> tuple[list[int], int, int]:
+    """The powers e, a, a^2, ... of a up to the first repeat, with the index
+    i and period p of a: a^(i+p) = a^i and the list holds i + p <= order
+    elements.  The cyclic subsemigroup <a> of a finite monoid has index i
+    and period p, and a^i, ..., a^(i+p-1) form a cyclic group (Clifford &
+    Preston, vol. I, section 1.6).  The walk multiplies by a on the right,
+    so on a table that is not associative it follows the left-nested
+    products a*a*...*a."""
+    pw, first = [e], {e: 0}
+    x = t[e][a]
+    while x not in first:
+        first[x] = len(pw)
+        pw.append(x)
+        x = t[x][a]
+    i = first[x]
+    return pw, i, len(pw) - i
+
+
 class FiniteMonoid(Record):
     """A monoid given by its full multiplication table.
 
@@ -204,25 +223,22 @@ class FiniteMonoid(Record):
         return self.table[x][y]
 
     def power(self, x: int, k: int) -> int:
+        """x^k read off the walk of <x>: O(i + p) <= order, whatever k.  On an
+        unvalidated table that is not associative this is the left-nested
+        product x*x*...*x."""
         if k < 0:
             raise InputError("negative exponent")
-        t = self.table
-        acc = self.identity
-        while k:
-            if k & 1:
-                acc = t[acc][x]
-            x = t[x][x]
-            k >>= 1
-        return acc
+        pw, i, p = _cycle(self.table, self.identity, x)
+        return pw[k] if k < i + p else pw[i + (k - i) % p]
 
     def omega_power(self, x: int) -> int:
-        """The unique idempotent among the positive powers of x."""
-        p = x
-        for _ in range(self.order):
-            if self.table[p][p] == p:
-                return p
-            p = self.table[p][x]
-        raise AssertionError("no idempotent power; is the table associative?")
+        """The unique idempotent among the positive powers of x: x^n for the
+        n >= i that p divides, with x^0 = x^p when i = 0."""
+        pw, i, p = _cycle(self.table, self.identity, x)
+        w = pw[i + -i % p]
+        if self.table[w][w] != w:
+            raise AssertionError("no idempotent power; is the table associative?")
+        return w
 
     def is_idempotent(self, x: int) -> bool:
         return self.table[x][x] == x
@@ -467,13 +483,11 @@ def is_regular(M: FiniteMonoid, a: int) -> tuple[bool, int | None]:
 
 
 def is_aperiodic(M: FiniteMonoid) -> tuple[bool, int | None]:
-    """x^omega == x^omega * x for every x."""
-    bad = None
-    for a in range(M.order):
-        w = M.omega_power(a)
-        if M.table[w][a] != w:
-            bad = a
-            break
+    """x^omega == x^omega * x for every x, that is every x has period 1; the
+    witness is the least x of period p > 1.  On an unvalidated table that is
+    not associative the period of the left-nested walk decides."""
+    t, e = M.table, M.identity
+    bad = next((a for a in range(M.order) if _cycle(t, e, a)[2] > 1), None)
     return bad is None, bad
 
 

@@ -13,7 +13,8 @@ import math
 
 from .formats import _numeral
 from .monoid import (CapExceeded, FiniteMonoid, GeneratorMap, InputError,
-                     Record, _product, ideal_generated, is_group_element)
+                     Record, _cycle, _product, ideal_generated,
+                     is_group_element)
 from .words import FactorWitness, cut, lemma_factor, match_factorization, word_image
 
 TYPE_CHECKING = False
@@ -180,24 +181,24 @@ def group_element_shadow(M: FiniteMonoid) -> StabilitySweep:
     """Sweep all a, 1 <= n <= order+1, 1 <= lam <= order: whenever
     a^n == a^(n+lam), the stabilized power a^n must be a group element.
     Holds in every finite monoid; any counterexample would be reported.
-    The powers of a enter a cycle of length p at some index i, so
-    a^n == a^(n+lam) exactly when n >= i and p divides lam."""
+    The powers of a enter a cycle of length p at index i (`_cycle`), so
+    a^n == a^(n+lam) exactly when n >= i and p divides lam, and a^n is the
+    stable power of residue (n - i) mod p.  Each stable power is asked once,
+    in the order the n loop reaches it, and the n loop runs only for an a
+    with a stable power that is not a group element."""
     bad = []
     group: dict[int, bool] = {}  # is_group_element, once per stable power
     for a in range(M.order):
-        pw, first = [M.identity], {M.identity: 0}
-        x = M.table[M.identity][a]
-        while x not in first:
-            first[x] = len(pw)
-            pw.append(x)
-            x = M.table[x][a]
-        i, p = first[x], len(pw) - first[x]
-        for nn in range(max(i, 1), M.order + 2):
-            s = pw[i + (nn - i) % p]
+        pw, i, p = _cycle(M.table, M.identity, a)
+        start = max(i, 1)
+        stable = pw[start:] + pw[i:start]
+        for s in stable:
             if s not in group:
                 group[s] = is_group_element(M, s)
-            if not group[s]:
-                bad += [(a, nn, lam) for lam in range(p, M.order + 1, p)]
+        if not all(map(group.__getitem__, stable)):
+            for nn in range(start, M.order + 2):
+                if not group[pw[i + (nn - i) % p]]:
+                    bad += [(a, nn, lam) for lam in range(p, M.order + 1, p)]
     return StabilitySweep(not bad, tuple(bad), M.order * M.order * (M.order + 1))
 
 

@@ -32,3 +32,53 @@ def check_factor_witness(us, vs, fw):
         ustart = sum(map(len, us[:i]))
         vstart = sum(map(len, vs[:j]))
         assert ustart + off == vstart
+
+
+# The power layer as it was before every answer was read off one walk of
+# <x> (monoid._cycle), kept as oracles.  They are compared on associative
+# tables only: on a table that is not, x^k depends on its bracketing, so
+# squaring and the left-nested walk may differ, and so may an idempotent
+# search that starts at x and the walk, which starts at the identity.
+
+def power_by_squaring(M, x, k):
+    """x^k by binary exponentiation, the same products in the same order;
+    it reads the bits of k from one bin() string instead of shifting k,
+    since each shift copies k, O(log(k)^2) in all at k = 10^4299."""
+    t = M.table
+    acc = M.identity
+    for bit in reversed(bin(k)[2:]):
+        if bit == "1":
+            acc = t[acc][x]
+        x = t[x][x]
+    return acc
+
+
+def omega_power_by_search(M, x):
+    """The first idempotent among x, x^2, ..., x^order."""
+    p = x
+    for _ in range(M.order):
+        if M.table[p][p] == p:
+            return p
+        p = M.table[p][x]
+    raise AssertionError("no idempotent power; is the table associative?")
+
+
+def is_aperiodic_by_omega(M):
+    """x^omega == x^omega * x for every x; the least x that fails."""
+    for a in range(M.order):
+        w = omega_power_by_search(M, a)
+        if M.table[w][a] != w:
+            return False, a
+    return True, None
+
+
+def check_eta_aperiodic_by_omega(E):
+    """x^omega == x^omega * x in E.as_monoid() for every profile x over an
+    idempotent of the base; the first (idempotent, profile) that fails."""
+    EM = E.as_monoid()
+    for e in E.base.idempotents():
+        for x in E.fiber(e):
+            xo = omega_power_by_search(EM, x)
+            if EM.table[xo][x] != xo:
+                return False, (e, x)
+    return True, None

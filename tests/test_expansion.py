@@ -10,12 +10,12 @@ from monoidkit import (CapExceeded, CutProfile, InputError, build_expansion,
                        generator_map, identity_profile, is_aperiodic,
                        letter_profile, profile_product, word_image,
                        word_profile)
-from monoidkit.catalog import z2, z3
+from monoidkit.catalog import flipflop, n3, trivial, z2, z3
 from monoidkit.cli import _expansion_sidecar
 from monoidkit.expansion import DEFAULT_PROFILE_CAP, ExpandedMonoid
 from monoidkit.monoid import configured_cap
 from monoidkit.words import _spread, _squeeze, _step
-from helpers import all_words
+from helpers import all_words, check_eta_aperiodic_by_omega
 
 
 def test_letter_profile_examples(cat):
@@ -146,6 +146,44 @@ def test_eta_aperiodic_examples(cat):
     for _, (Mc, gc) in cat.items():
         for n in (1, 2, 3):
             assert check_eta_aperiodic(build_expansion(Mc, gc, n)) == (True, None)
+
+
+def times_z2(B, keep=lambda b, z: True):
+    """The submonoid of B x Z2 on the pairs (b, z) that keep admits, identity
+    first, as an ExpandedMonoid whose eta is the first coordinate: a kept
+    (b, 1) has period 2, so the fiber over an idempotent b that holds it is
+    not aperiodic."""
+    pairs = [(B.identity, 0)] + [(b, z) for b in range(B.order) for z in (0, 1)
+                                 if (b, z) != (B.identity, 0) and keep(b, z)]
+    index = {q: k for k, q in enumerate(pairs)}
+    table = tuple(tuple(index[B.table[b][c], (z + y) % 2] for c, y in pairs)
+                  for b, z in pairs)
+    E = ExpandedMonoid(B, generator_map(B, {"a": B.identity}), 1,
+                       tuple(frozenset({(k,)}) for k in range(len(pairs))),
+                       table, tuple(b for b, _ in pairs), ("",) * len(pairs))
+    E.as_monoid().validate()
+    return E
+
+
+def test_eta_aperiodic_names_the_first_periodic_fiber(fx):
+    # Z2's table over the trivial monoid: both elements project to 1
+    E = times_z2(trivial())
+    assert E.table == z2().table and E.eta == (0, 0)
+    cases = [(E, (0, 1))]
+    # over N3's idempotents 1 and 0: the fiber of 1 is {1}, aperiodic, and
+    # the fiber of 0 holds (0, 1), numbered 3
+    cases.append((times_z2(n3(), lambda b, z: z == 0 or b == 2), (2, 3)))
+    # over the flip-flop's idempotents 1, s and r: 1's fiber is aperiodic,
+    # and both s and r have one of period 2; s comes first
+    cases.append((times_z2(flipflop(), lambda b, z: b != 0), (1, 2)))
+    for E, witness in cases:
+        assert check_eta_aperiodic(E) == (False, witness)
+        assert check_eta_aperiodic_by_omega(E) == (False, witness)
+    # and the expansions of every fixture, which all pass
+    for M, g in fx.values():
+        for n in (1, 2, 3):
+            E = build_expansion(M, g, n)
+            assert check_eta_aperiodic(E) == check_eta_aperiodic_by_omega(E)
 
 
 def test_aperiodic_base_gives_aperiodic_expansion(cat):

@@ -720,6 +720,16 @@ def test_cli_memory_error_exits_2():
     assert proc.stderr == "error: out of memory\n"
 
 
+def test_cli_memory_error_while_writing_the_report_exits_2(monkeypatch, capsys):
+    class Full:
+        def write(self, text):
+            raise MemoryError
+
+    monkeypatch.setattr(sys, "stdout", Full())
+    assert cli_dispatch(["info", str(FIXDIR / "N3.mon"), "--format", "machine"]) == 2
+    assert capsys.readouterr().err == "error: out of memory\n"
+
+
 def test_cli_long_replay_exits_2_at_its_cap(capsys):
     a = "a" * 20000
     t0 = time.perf_counter()

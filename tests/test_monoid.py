@@ -22,7 +22,8 @@ from monoidkit.cli import cli_dispatch
 from monoidkit.monoid import (DEFAULT_ELEMENT_CAP, FiniteMonoid, GreensData,
                               _check_name, _classify, _first_violation,
                               _greedy_generators, _product, configured_cap)
-from helpers import M52_GENS, T3_GENS, T4_GENS
+from helpers import (M52_GENS, T3_GENS, T4_GENS, is_aperiodic_by_omega,
+                     omega_power_by_search, power_by_squaring)
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -518,6 +519,20 @@ def test_power_matches_repeated_multiplication(fx):
     assert M.power(g, 10**10) == g  # 10^10 = 1 mod 3
     with pytest.raises(InputError, match="negative exponent"):
         M.power(g, -1)
+
+
+def test_power_walk_matches_the_old_bodies(oracle_monoids):
+    # every fixture, T3, T4, M52 and the catalog expansions at n = 1..3
+    cases = dict(oracle_monoids)
+    cases["T4"], _ = generate_from_transformations(4, T4_GENS)
+    cases["M52"], _ = generate_from_transformations(4, M52_GENS)
+    for name, M in cases.items():
+        n = M.order
+        for a in range(n):
+            assert M.omega_power(a) == omega_power_by_search(M, a), (name, a)
+            for k in (0, 1, n - 1, n, n + 1, 10**7, 10**4299):
+                assert M.power(a, k) == power_by_squaring(M, a, k), (name, a, k)
+        assert is_aperiodic(M) == is_aperiodic_by_omega(M), name
 
 
 def test_multiply_and_power_examples():

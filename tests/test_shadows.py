@@ -12,7 +12,7 @@ from monoidkit import (CapExceeded, Concat, InputError, Letter, OmegaPower,
                        ideal_product_shadow, is_group_element, parse_term,
                        replay_factorization, term_text, word_image)
 from monoidkit import shadows
-from monoidkit.catalog import flipflop, n3, z2
+from monoidkit.catalog import flipflop, n3, t2, z2
 from monoidkit.monoid import FiniteMonoid
 from monoidkit.shadows import MAX_REPLAY_WORK, MAX_TERM_DEPTH
 from helpers import (M52_GENS, T3_GENS, T4_GENS, all_words,
@@ -231,6 +231,18 @@ def test_sweep_on_t4_does_not_hang():
     sweep = group_element_shadow(M)
     assert time.perf_counter() - t0 < 2
     assert sweep == StabilitySweep(True, (), 256 * 256 * 257)
+
+
+def test_sweep_on_m1965_walks_each_cycle_once():
+    # T2 at n = 4 (order 1965): one walk per element and its stable powers;
+    # visiting every n per element took 0.65 s on a 2-core machine
+    M = t2()
+    E = build_expansion(M, generator_map(M, {"a": M.element("s"),
+                                             "b": M.element("c1")}), 4).as_monoid()
+    t0 = time.perf_counter()
+    sweep = group_element_shadow(E)
+    assert time.perf_counter() - t0 < 0.2
+    assert sweep == StabilitySweep(True, (), 1965 * 1965 * 1966)
 
 
 def test_membership_violated_example():
