@@ -384,10 +384,11 @@ def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
     """The arguments of a well-formed argv, as argparse parses them, or None.
 
     Only plain forms are taken: the command first, option strings exactly
-    as in _COMMANDS, each value as the next token and not starting with
-    '-', every required option, and the exact positionals, a list in one
-    run.  Anything else (help, usage errors, abbreviations, --opt=value,
-    -n3, '--') is declined, so argparse owns every edge case."""
+    as in _COMMANDS, each value as the next token or after the first '=' of
+    an exact long option that takes one, and not starting with '-', every
+    required option, and the exact positionals, a list in one run.
+    Anything else (help, usage errors, abbreviations, --flag=x, -n=3, -n3,
+    '--') is declined, so argparse owns every edge case."""
     if not argv or argv[0] not in _COMMANDS:
         return None
     handler, _, arguments = _COMMANDS[argv[0]]
@@ -409,14 +410,18 @@ def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
         if not token.startswith("-"):
             values.append((len(given), token))
             continue
-        if token not in options:
+        option, eq, value = token.partition("=")
+        if option not in options or eq and not option.startswith("--"):
             return None
-        dest, store_true, keywords = options[token]
+        dest, store_true, keywords = options[option]
         given.append(dest)
         if store_true:
+            if eq:
+                return None
             args[dest] = True
             continue
-        value = next(tokens, "-")       # a missing value declines too
+        if not eq:
+            value = next(tokens, "-")   # a missing value declines too
         if value.startswith("-"):
             return None
         if "type" in keywords:
@@ -476,15 +481,38 @@ def cli_dispatch(argv) -> int:
                      *(f"  {k}: {v}\n" for k, v in fields.items()),
                      f"  elapsed: {elapsed:.1f} ms\n"]
         # one line at a time, so a large field is not copied into a joined
-        # report; an OSError on stdout propagates
+        # report; sys.stdout is None when the process has no descriptor 1
+        stdout = sys.stdout
         try:
+            if stdout is None:
+                raise OSError("stdout is closed")
             for line in lines:
-                sys.stdout.write(_escape(line))
+                stdout.write(_escape(line))
+            stdout.flush()
             return code
         except MemoryError:
             message = "out of memory"
+        except OSError as exc:
+            message = str(exc)
+            _discard(stdout)
     sys.stderr.write(_escape(f"error: {message}\n"))
     return 2
+
+
+def _discard(stream) -> None:
+    """Point the descriptor of a stream that failed at devnull, so that the
+    report left in its buffer is dropped when the interpreter flushes it at
+    exit, which would fail again and exit 120.  A stream with no descriptor
+    of its own, such as an in-process capture, is left as it is."""
+    try:
+        fd = stream.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    import os       # only here: a launch does not load os
+
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def main() -> None:

@@ -7,6 +7,7 @@ this module is safe to share between threads.
 
 from __future__ import annotations
 
+import sys
 from operator import attrgetter, itemgetter
 
 TYPE_CHECKING = False
@@ -99,11 +100,17 @@ class _cached:
 
 def configured_cap(default: int) -> int:
     """Default element/state cap, overridable via MONO_CAP (a positive
-    integer).  os is imported here, so only the commands that build a
-    closure load it."""
-    import os
-
-    raw = os.environ.get("MONO_CAP")
+    integer).  On POSIX it is read from posix.environ, the store behind
+    os.environ, and decoded as os.fsdecode does, so no command loads os."""
+    try:
+        from posix import environ
+    except ImportError:
+        from os import environ
+        raw = environ.get("MONO_CAP")
+    else:
+        raw = environ.get(b"MONO_CAP")
+        if raw is not None:
+            raw = raw.decode(sys.getfilesystemencoding(), "surrogateescape")
     if not raw:
         return default
     bad = InputError(f"MONO_CAP must be a positive integer, got {raw!r}")

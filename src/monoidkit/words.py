@@ -135,13 +135,162 @@ def _step(M: FiniteMonoid, n: int, seqs: Iterable[tuple[int, ...]], x: int) -> s
     return out
 
 
+class _SequenceDag:
+    """Sets of non-identity sequences of length <= n, hash-consed.
+
+    A node is (holds_empty, ((c, prefixes), ...)): whether the set holds (),
+    and for each last element c, ascending, the node of the set of p with
+    p + (c,) in the set.  One table numbers the nodes, so equal sets are one
+    integer and a child is numbered before its parent; node 0 is the empty
+    set.  Union, truncation and the letter step are memoized on node
+    numbers.  A path is as long as its sequence, up to n, so every walk
+    keeps an explicit stack and none recurses."""
+
+    def __init__(self, M: FiniteMonoid, n: int):
+        self.table, self.identity, self.n = M.table, M.identity, n
+        self.ids: dict[tuple, int] = {}
+        self.nodes: list[tuple] = []
+        self.height: list[int] = []     # longest sequence; -1 when empty
+        self.unions: dict[tuple[int, int], int] = {}
+        self.truncs: dict[tuple[int, int], int] = {}
+        self.steps: dict[tuple[int, int], int] = {}
+        self.node(False, ())
+
+    def node(self, holds_empty: bool, groups: tuple) -> int:
+        key = (holds_empty, groups)
+        i = self.ids.get(key)
+        if i is None:
+            i = self.ids[key] = len(self.nodes)
+            self.nodes.append(key)
+            height = self.height
+            height.append(max([0 if holds_empty else -1]
+                              + [height[p] + 1 for _, p in groups]))
+        return i
+
+    def union(self, a: int, b: int) -> int:
+        if a == b or not b:
+            return a
+        if not a:
+            return b
+        nodes, memo = self.nodes, self.unions
+        top = (a, b) if a < b else (b, a)
+        stack = [top]
+        while stack:
+            key = stack[-1]
+            if key in memo:
+                stack.pop()
+                continue
+            (empty_a, groups_a), (empty_b, groups_b) = nodes[key[0]], nodes[key[1]]
+            merged = dict(groups_a)
+            todo = []
+            for c, q in groups_b:
+                p = merged.get(c, q)
+                if p != q:
+                    pair = (p, q) if p < q else (q, p)
+                    q = memo.get(pair)
+                    if q is None:
+                        todo.append(pair)
+                        continue
+                merged[c] = q
+            if todo:        # the children first; then this pair is revisited
+                stack += todo
+                continue
+            memo[key] = self.node(empty_a or empty_b, tuple(sorted(merged.items())))
+            stack.pop()
+        return memo[top]
+
+    def truncate(self, a: int, k: int) -> int:
+        """The node of a's sequences of length <= k."""
+        height, nodes, memo = self.height, self.nodes, self.truncs
+        if height[a] <= k:
+            return a
+        stack = [(a, k)]
+        while stack:
+            key = stack[-1]
+            if key in memo:
+                stack.pop()
+                continue
+            b, j = key
+            holds_empty, groups = nodes[b]
+            kept, todo = [], []
+            for c, p in groups if j else ():
+                if height[p] >= j:
+                    r = memo.get((p, j - 1))
+                    if r is None:
+                        todo.append((p, j - 1))
+                        continue
+                    p = r
+                if p:
+                    kept.append((c, p))
+            if todo:
+                stack += todo
+                continue
+            memo[key] = self.node(holds_empty, tuple(kept))
+            stack.pop()
+        return memo[(a, k)]
+
+    def step(self, a: int, x: int) -> int:
+        """Append a letter of image x != 1 to every sequence of a: each
+        group c moves to c*x, and its prefixes become whole sequences when
+        c*x = 1; group x gains every sequence shorter than n."""
+        key = (a, x)
+        r = self.steps.get(key)
+        if r is not None:
+            return r
+        t = self.table
+        moved: dict[int, int] = {}
+        whole = []
+        for c, p in self.nodes[a][1]:
+            d = t[c][x]
+            if d == self.identity:
+                whole.append(p)
+            else:
+                moved[d] = self.union(moved[d], p) if d in moved else p
+        short = self.truncate(a, self.n - 1)
+        if short:
+            moved[x] = self.union(moved[x], short) if x in moved else short
+        r = self.node(False, tuple(sorted(moved.items())))
+        for p in whole:
+            r = self.union(r, p)
+        self.steps[key] = r
+        return r
+
+    def sequences(self, a: int) -> list[tuple[int, ...]]:
+        """Every sequence of a, once each: a sequence is one path, read
+        from its last element, and its tuple is built once at the end."""
+        nodes = self.nodes
+        out, path = [], []
+        stack = [(a, 0, None)]      # (node, length of path above it, its c)
+        while stack:
+            b, depth, c = stack.pop()
+            del path[depth:]
+            if c is not None:
+                path.append(c)
+            holds_empty, groups = nodes[b]
+            if holds_empty:
+                out.append(tuple(reversed(path)))
+            stack += [(p, len(path), c) for c, p in groups]
+        return out
+
+
 def cut(M: FiniteMonoid, g: GeneratorMap, w: str, n: int) -> CutProfile:
-    """Profile by letter extension over the non-identity sequences."""
+    """Profile by letter extension over the non-identity sequences.
+
+    The set S of sequences is folded over w on a _SequenceDag made for this
+    call, so a sub-set that comes back along the word is stepped once; a
+    letter of image 1 leaves S as it is.  build_expansion keeps the set
+    step _step instead: it spreads and stores every state it finds, so the
+    DAG would save it nothing and its node table would slow it."""
     if n < 1:
         raise InputError("arity must be >= 1")
-    seqs = {()}
+    dag = _SequenceDag(M, n)
+    s = dag.node(True, ())
     for ch in w:
-        seqs = _step(M, n, seqs, g.image(ch))
+        x = g.image(ch)
+        if x != M.identity:
+            s = dag.step(s, x)
+    seqs = dag.sequences(s)
+    del dag
     return _spread(M, n, seqs)
 
 

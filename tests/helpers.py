@@ -1,6 +1,10 @@
-"""Shared test utilities: word enumeration and the factor-witness check."""
+"""Shared test utilities: word enumeration, the factor-witness check and
+the earlier algorithms kept as oracles."""
 
 from itertools import product
+
+from monoidkit.monoid import InputError
+from monoidkit.words import _spread, _step
 
 # cycle, transposition and collapse on 3 and 4 points: the full
 # transformation monoids T3 (27 elements) and T4 (256 elements)
@@ -32,6 +36,17 @@ def check_factor_witness(us, vs, fw):
         ustart = sum(map(len, us[:i]))
         vstart = sum(map(len, vs[:j]))
         assert ustart + off == vstart
+
+
+def cut_by_step_fold(M, g, w, n):
+    """cut as it was before the sequence-set DAG, kept as an oracle: the
+    letter step folded over the whole set of non-identity sequences."""
+    if n < 1:
+        raise InputError("arity must be >= 1")
+    seqs = {()}
+    for ch in w:
+        seqs = _step(M, n, seqs, g.image(ch))
+    return _spread(M, n, seqs)
 
 
 # The power layer as it was before every answer was read off one walk of

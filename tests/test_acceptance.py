@@ -17,7 +17,7 @@ from monoidkit import (build_expansion, check_eta_aperiodic, check_refinement,
 from monoidkit.catalog import catalog, fixtures, n3, z2
 from monoidkit.cli import cli_dispatch
 
-from helpers import all_words, check_factor_witness
+from helpers import all_words, check_factor_witness, cut_by_step_fold
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -37,11 +37,12 @@ def test_criterion_01_cut_oracle_equivalence():
     with criterion(1, "cut oracle equivalence"):
         for _, (M, g) in catalog().items():
             for w in all_words("ab", 6):
-                for n in (1, 2, 3, 4):
+                for n in (1, 2, 3, 4, 5):
                     a = cut(M, g, w, n)
                     b = cut_brute(M, g, w, n)
                     c = word_profile(M, g, w, n)
-                    assert a == b == c
+                    d = cut_by_step_fold(M, g, w, n)
+                    assert a == b == c == d
 
 
 def test_criterion_02_factorization_count():

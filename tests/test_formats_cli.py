@@ -1,4 +1,5 @@
 import argparse
+import errno
 import hashlib
 import io
 import os
@@ -505,7 +506,7 @@ def test_tgen_degree_at_cap_is_accepted():
 
 def test_cli_bad_mono_cap_exits_2(monkeypatch, capsys):
     argv = ["expand", FIXDIR / "Z2.mon", "-n", "2", "--gens", "a=g"]
-    for raw in ("abc", "0"):
+    for raw in ("abc", "0", "\udcff"):
         monkeypatch.setenv("MONO_CAP", raw)
         code, out, err = run(argv, capsys)
         assert code == 2 and out == ""
@@ -552,20 +553,16 @@ def _has_builtin_sha256() -> bool:
     return False
 
 
-# the subcommands whose closure reads MONO_CAP, and so imports os
-READS_MONO_CAP = {"expand", "from-dfa", "from-tgen"}
-
-
 def test_cli_import_loads_no_openssl_functools_or_collections():
     # the digest comes from the interpreter's own SHA-256 module, not from
-    # hashlib, which loads OpenSSL's _hashlib; functools and collections are
-    # not used at all, and os only where MONO_CAP is read.  Each command runs
-    # in a fresh interpreter, since a module once loaded stays loaded.
-    forbidden = {"functools", "collections", "collections.abc"}
+    # hashlib, which loads OpenSSL's _hashlib; functools, collections and os
+    # are not used at all (MONO_CAP is read from posix.environ).  Each command
+    # runs in a fresh interpreter, since a module once loaded stays loaded.
+    forbidden = {"functools", "collections", "collections.abc", "os"}
     if _has_builtin_sha256():
         forbidden |= {"hashlib", "_hashlib"}
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); import monoidkit.cli; "
-             f"names = {sorted(forbidden | {'os'})!r}; "
+             f"names = {sorted(forbidden)!r}; "
              "loaded = lambda: [n for n in names if n in sys.modules]; "
              "print(loaded()); print(monoidkit.cli.cli_dispatch(sys.argv[2:])); "
              "print(loaded())")
@@ -576,8 +573,7 @@ def test_cli_import_loads_no_openssl_functools_or_collections():
              *map(str, argv), "--format", "machine"],
             capture_output=True, text=True, check=True).stdout
         lines = out.splitlines()
-        after = ["os"] if argv[0] in READS_MONO_CAP else []
-        assert [lines[0], *lines[-2:]] == ["[]", "0", str(after)], argv
+        assert [lines[0], *lines[-2:]] == ["[]", "0", "[]"], argv
 
 
 DIGEST_INPUTS = [path.read_bytes() for path in sorted(FIXDIR.iterdir())] + [
@@ -730,6 +726,59 @@ def test_cli_memory_error_while_writing_the_report_exits_2(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: out of memory\n"
 
 
+def os_error_line(code):
+    return f"error: [Errno {code}] {os.strerror(code)}\n"
+
+
+def test_cli_failed_stdout_exits_2(monkeypatch, capsys):
+    class Gone:
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    class Full:
+        def write(self, text):
+            return len(text)
+
+        def flush(self):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    for stdout, line in ((Gone(), os_error_line(errno.EPIPE)),
+                         (Full(), os_error_line(errno.ENOSPC)),
+                         (None, "error: stdout is closed\n")):
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert cli_dispatch(["info", str(FIXDIR / "N3.mon"), "--format", "machine"]) == 2
+        assert capsys.readouterr().err == line
+
+
+@pytest.mark.parametrize("stdout", ["full", "closed", "broken-pipe"])
+def test_cli_failed_stdout_exits_2_with_one_error_line(stdout):
+    # nothing more may reach stderr when the interpreter flushes stdout at exit
+    argv = [sys.executable, "-m", "monoidkit.cli", "info", str(FIXDIR / "N3.mon"),
+            "--format", "machine"]
+    env = {**os.environ, "PYTHONPATH": str(SRCDIR)}
+    if stdout == "full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE,
+                                  text=True, env=env)
+        expected = os_error_line(errno.ENOSPC)
+    elif stdout == "closed":
+        proc = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *argv],
+                              stderr=subprocess.PIPE, text=True, env=env)
+        expected = "error: stdout is closed\n"
+    else:
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(argv, stdout=write, stderr=subprocess.PIPE,
+                                  text=True, env=env)
+        finally:
+            os.close(write)
+        expected = os_error_line(errno.EPIPE)
+    assert (proc.returncode, proc.stderr) == (2, expected)
+
+
 def test_cli_long_replay_exits_2_at_its_cap(capsys):
     a = "a" * 20000
     t0 = time.perf_counter()
@@ -758,6 +807,12 @@ def documented_argvs():
         ["replay", str(FIXDIR / "Z2.mon"), "-n", "11", "--map", "a=g,b=1",
          "--u", "aaaa,aaaaa,a,aaaaaa,aaaaa", "--w", "aaaaaaaaaaa" + ",a" * 10,
          "--format", "machine"],
+        ["info", str(FIXDIR / "N3.mon"), "--format=machine"],
+        ["cut", str(FIXDIR / "Z2.mon"), "-n", "2", "--map=a=g,b=g", "ab",
+         "--format=machine"],
+        ["lemma", "--u=ab,a", "--v=a,b,a", "--format=machine"],
+        ["expand", str(FIXDIR / "Z2.mon"), "-n", "2", "--gens=a=g", "--out=x.mon",
+         "--format=machine"],
     ]
     for line in (ROOT / "README.md").read_text().splitlines():
         line = line.removeprefix("$ ")
@@ -780,12 +835,15 @@ def plain_corpus(rng: random.Random, count: int):
     """Argvs built from the command table's own tokens: a well-formed
     command with its options in a random order, then up to three edits that
     duplicate, drop, move or swap tokens, or insert one of the forms the
-    plain parser must decline (abbreviations, --x=y, -n3, --, -, '', -1,
-    -h, a non-UTF-8 byte, an option of another command)."""
+    plain parser must decline or read as argparse does (abbreviations,
+    --x=y, -n=3, -n3, --, -, '', -1, -h, a non-UTF-8 byte, an option of
+    another command)."""
     options = sorted({f for _, _, arguments in _COMMANDS.values()
                       for flags, _ in arguments for f in flags if f.startswith("-")})
     strange = ["--for", "--fo", "--ma", "--ta", "--ou", "--al", "--id", "--ge",
-               "--format=machine", "--map=a=g", "-n3", "-o-", "--", "-", "", "-1",
+               "--format=machine", "--map=a=g", "--format=", "--format=bogus",
+               "--map=", "--map=-x", "--table=x", "--out=x.mon", "-n=3", "-o=x",
+               "-n3", "-o-", "--", "-", "", "-1",
                "-h", "--help", "\udcff", "a b", "x", *_COMMANDS, *options]
     values = {"-n": ["2", "0", "12", " 3", "x", "-1", "\u0663"],
               "--format": ["human", "machine", "bogus", "mach"]}
@@ -829,7 +887,8 @@ def plain_corpus(rng: random.Random, count: int):
 def test_plain_parser_agrees_with_argparse():
     # whatever the plain parser takes, argparse parses to the same
     # attributes; it takes no token starting with '-' but an exact option
-    # string of the command, so abbreviations and --x=y go to argparse
+    # string of the command or --x=y for an exact --x, so abbreviations go
+    # to argparse
     rng = random.Random(int(os.environ.get("MONO_SEED", "0")))
     parser = _build_parser()
     accepted = 0
@@ -839,7 +898,8 @@ def test_plain_parser_agrees_with_argparse():
             continue
         accepted += 1
         options = {f for flags, _ in _COMMANDS[argv[0]][2] for f in flags}
-        assert all(t in options for t in argv[1:] if t.startswith("-")), argv
+        assert all(t in options or t.startswith("--") and t.partition("=")[0] in options
+                   for t in argv[1:] if t.startswith("-")), argv
         try:
             expected = parser.parse_args(argv)
         except SystemExit:

@@ -1,6 +1,8 @@
+import gc
 import math
 import os
 import random
+import sys
 import time
 import tracemalloc
 from itertools import accumulate, combinations_with_replacement, product
@@ -13,7 +15,7 @@ from monoidkit import (CapExceeded, CutProfile, FactorWitness, InputError, cut,
                        match_factorization, segment_images, word_image,
                        word_profile)
 from monoidkit.catalog import z2
-from helpers import all_words, check_factor_witness
+from helpers import all_words, check_factor_witness, cut_by_step_fold
 
 
 def test_factorizations_examples():
@@ -161,6 +163,84 @@ def test_cut_profile_size_cap(fx, monkeypatch):
         cut(M, g, "abab", 5)
     assert ei.value.count == size
     assert str(ei.value) == f"cut profile of {size} tuples exceeds cap of {size - 1}"
+
+
+# the benchmark's cut shapes: (fixture, arity, word length)
+LONG_CUTS = (("flipflop", 8, 120), ("flipflop", 8, 60), ("flipflop", 6, 200),
+             ("n3", 7, 60), ("n3", 6, 120), ("n3", 5, 200),
+             ("b21", 4, 200), ("b21", 5, 60), ("b21", 5, 120),
+             ("t2", 4, 120), ("t2", 5, 120), ("t2", 6, 60))
+
+
+def test_cut_matches_step_fold_oracle_on_long_words(fx):
+    # sub-sets recur along a long word, which the DAG steps only once;
+    # MONO_SEED pins the words
+    rng = random.Random(int(os.environ.get("MONO_SEED", "0")))
+    for name, n, length in LONG_CUTS:
+        M, g = fx[name]
+        for _ in range(2):
+            w = "".join(rng.choice("ab") for _ in range(length))
+            assert cut(M, g, w, n) == cut_by_step_fold(M, g, w, n), (name, w, n)
+
+
+def test_cut_with_an_identity_letter_matches_the_oracles(fx):
+    # a letter of image 1 leaves the set of sequences as it is; Z2, Z3 and T2
+    # also have units other than 1, whose products can come back to 1
+    cases = (("z2", {"a": "g", "b": "1"}), ("z3", {"a": "g", "b": "g2", "c": "1"}),
+             ("b21", {"a": "a", "b": "b", "c": "1"}),
+             ("t2", {"a": "s", "b": "c1", "c": "1"}))
+    for name, images in cases:
+        M = fx[name][0]
+        g = generator_map(M, {k: M.element(v) for k, v in images.items()})
+        for w in all_words("".join(images), 5):
+            for n in (1, 2, 3, 4, 5):
+                expected = cut_by_step_fold(M, g, w, n)
+                assert cut(M, g, w, n) == expected == cut_brute(M, g, w, n), (name, w, n)
+
+
+def test_cut_does_not_recurse_with_the_arity():
+    # Z2's a^300 at n = 300 keeps sequences of every even length up to 300,
+    # each a path of as many DAG nodes; the cap stops it after the fold
+    M = z2()
+    g = generator_map(M, {"a": 1})
+    w = "a" * 300
+    with pytest.raises(CapExceeded) as oracle:
+        cut_by_step_fold(M, g, w, 300)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        cut(M, g, w, 300)
+    except CapExceeded as exc:
+        message = str(exc)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert message == str(oracle.value)
+
+
+def test_cut_leaves_no_reference_cycle(fx):
+    # the DAG is dropped by reference counting when cut returns
+    M, g = fx["flipflop"]
+    w = "".join(random.Random(120).choice("ab") for _ in range(120))
+    gc.collect()
+    gc.disable()
+    try:
+        cut(M, g, w, 8)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_cut_of_a_long_word_does_not_hang(fx):
+    # about 0.6 s by the step fold, 0.02 s on the DAG (Python 3.11, 2 cores)
+    M, g = fx["b21"]
+    rng = random.Random(2000)
+    w = "".join(rng.choice("ab") for _ in range(2000))
+    t0 = time.perf_counter()
+    cut(M, g, w, 5)
+    assert time.perf_counter() - t0 < 0.15
 
 
 def test_lemma_examples():
