@@ -14,9 +14,9 @@ from .formats import (Dfa, dfa_to_transition_monoid, load_table, parse_dfa,
 from .monoid import (DEFAULT_ELEMENT_CAP, CapExceeded, FiniteMonoid,
                      GeneratorMap, GreensData, InputError,
                      generate_from_transformations, generator_map, greens,
-                     ideal_generated, ideal_product, is_aperiodic,
-                     is_group_element, is_ideal, is_idempotent_ideal,
-                     is_prime_ideal, is_regular, minimal_ideal)
+                     ideal_generated, is_aperiodic, is_group_element,
+                     is_ideal, is_idempotent_ideal, is_prime_ideal,
+                     is_regular, minimal_ideal)
 from .shadows import (Concat, Letter, MembershipVerdict, OmegaPower,
                       OmegaTerm, Power, ProfileMismatch, ReplayResult,
                       StabilitySweep, evaluate, group_element_shadow,
@@ -37,12 +37,11 @@ __all__ = [
     "check_eta_aperiodic", "check_refinement", "cut", "cut_brute",
     "dfa_to_transition_monoid", "evaluate", "factorizations",
     "generate_from_transformations", "generator_map", "greens",
-    "group_element_shadow", "ideal_generated", "ideal_product",
-    "ideal_product_shadow", "identity_profile", "is_aperiodic",
-    "is_group_element", "is_ideal", "is_idempotent_ideal", "is_prime_ideal",
-    "is_regular", "lemma_factor", "letter_profile", "load_table",
-    "match_factorization", "minimal_ideal", "parse_dfa", "parse_term",
-    "parse_tgen", "profile_product", "replay_factorization",
-    "segment_images", "serialize_monoid", "term_text", "word_image",
-    "word_profile",
+    "group_element_shadow", "ideal_generated", "ideal_product_shadow",
+    "identity_profile", "is_aperiodic", "is_group_element", "is_ideal",
+    "is_idempotent_ideal", "is_prime_ideal", "is_regular", "lemma_factor",
+    "letter_profile", "load_table", "match_factorization", "minimal_ideal",
+    "parse_dfa", "parse_term", "parse_tgen", "profile_product",
+    "replay_factorization", "segment_images", "serialize_monoid",
+    "term_text", "word_image", "word_profile",
 ]

@@ -5,7 +5,8 @@ Machine format (`--format machine`) is line-oriented `key=value` with keys
 sorted, byte-stable across runs on identical inputs; human format keeps
 insertion order and adds a timing line.  Exit codes: 0 success/holds,
 1 a checked property failed or a hypothesis did not hold, 2 an input
-error, a stated cap, or running out of memory.
+error, a stated cap, running out of memory, or an output stream (stdout,
+stderr or a file written with -o) that is closed or fails.
 
 The grammar is one table, _COMMANDS.  A well-formed command is parsed
 straight from it; argparse, built from the same table, is imported only
@@ -66,7 +67,9 @@ def _load(path: str) -> tuple[FiniteMonoid, dict[str, str]]:
 
 def _write(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        f.write(text)
+        error = _emit(f, path, [text])
+    if error is not None:
+        raise OSError(error)
 
 
 def _bool(b: bool) -> str:
@@ -365,10 +368,16 @@ def _build_parser():
     import argparse
 
     class _ArgumentParser(argparse.ArgumentParser):
-        """Escapes help and usage errors like reports; subparsers inherit it."""
+        """Writes help and usage errors through _emit, and raises OSError
+        where argparse would drop a failed write; subparsers inherit it."""
 
         def _print_message(self, message, file=None):
-            super()._print_message(_escape(message), file)
+            # argparse passes sys.stdout or sys.stderr, None when closed; a
+            # None named wrongly needs both closed, so no line shows it
+            error = _emit(file, "stdout" if file is sys.stdout else "stderr",
+                          [message])
+            if error is not None:
+                raise OSError(error)
 
     p = _ArgumentParser(prog="mono", description="finite monoid workbench")
     sub = p.add_subparsers(dest="command", required=True)
@@ -457,20 +466,16 @@ def _escape(text: str) -> str:
 
 def cli_dispatch(argv) -> int:
     argv = list(argv)
-    args = _parse_plain(argv)
-    if args is None:
-        try:
-            args = _build_parser().parse_args(argv)
-        except SystemExit as exc:
-            return exc.code if isinstance(exc.code, int) else 2
-    t0 = time.perf_counter()
     try:
+        args = _parse_plain(argv) or _build_parser().parse_args(argv)
+        t0 = time.perf_counter()
         fields, code = args.handler(args)
-    except (InputError, CapExceeded, OSError) as exc:
-        message = str(exc)
-    except MemoryError:
-        # reported once the handler's frames, and what they hold, are freed
-        message = "out of memory"
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else 2
+    except (InputError, CapExceeded, OSError, MemoryError) as exc:
+        # reported after this block, once the handler's frames, and what
+        # they hold, are freed
+        message = "out of memory" if isinstance(exc, MemoryError) else str(exc)
     else:
         elapsed = (time.perf_counter() - t0) * 1000
         if args.format == "machine":
@@ -480,39 +485,45 @@ def cli_dispatch(argv) -> int:
             lines = [f"mono {args.command}\n",
                      *(f"  {k}: {v}\n" for k, v in fields.items()),
                      f"  elapsed: {elapsed:.1f} ms\n"]
-        # one line at a time, so a large field is not copied into a joined
-        # report; sys.stdout is None when the process has no descriptor 1
-        stdout = sys.stdout
-        try:
-            if stdout is None:
-                raise OSError("stdout is closed")
-            for line in lines:
-                stdout.write(_escape(line))
-            stdout.flush()
+        message = _emit(sys.stdout, "stdout", lines)
+        if message is None:
             return code
-        except MemoryError:
-            message = "out of memory"
-        except OSError as exc:
-            message = str(exc)
-            _discard(stdout)
-    sys.stderr.write(_escape(f"error: {message}\n"))
+    # where stderr fails too there is nowhere left to say why
+    _emit(sys.stderr, "stderr", [f"error: {message}\n"])
     return 2
 
 
-def _discard(stream) -> None:
-    """Point the descriptor of a stream that failed at devnull, so that the
-    report left in its buffer is dropped when the interpreter flushes it at
-    exit, which would fail again and exit 120.  A stream with no descriptor
-    of its own, such as an in-process capture, is left as it is."""
+def _emit(stream, name: str, lines) -> str | None:
+    """Write lines to stream one at a time, escaped, then flush it: None
+    once all of it is out, else the error text.  Every byte `mono` writes
+    leaves through here.
+
+    One line at a time, so a large field is not copied into a joined
+    report.  A None stream is a closed descriptor.  On a failure the
+    stream's descriptor is pointed at devnull, so that what is left in its
+    buffer is dropped when it is flushed again, at close or when the
+    interpreter exits, which would fail again and exit 120.  A stream with
+    no descriptor of its own, such as an in-process capture, is left as
+    it is."""
+    try:
+        if stream is None:
+            raise OSError(f"{name} is closed")
+        for line in lines:
+            stream.write(_escape(line))
+        stream.flush()
+        return None
+    except (OSError, MemoryError) as exc:
+        message = "out of memory" if isinstance(exc, MemoryError) else str(exc)
     try:
         fd = stream.fileno()
     except (AttributeError, OSError, ValueError):
-        return
+        return message
     import os       # only here: a launch does not load os
 
     devnull = os.open(os.devnull, os.O_WRONLY)
     os.dup2(devnull, fd)
     os.close(devnull)
+    return message
 
 
 def main() -> None:

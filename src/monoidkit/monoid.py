@@ -521,12 +521,6 @@ def ideal_generated(M: FiniteMonoid, gens: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(_reach(M.table, list(gens), A, A)))
 
 
-def ideal_product(M: FiniteMonoid, I: Iterable[int], J: Iterable[int]) -> tuple[int, ...]:
-    """{x*y : x in I, y in J}; an ideal inside both arguments when they are ideals."""
-    t = M.table
-    return tuple(sorted({t[x][y] for x in I for y in J}))
-
-
 def is_ideal(M: FiniteMonoid, S: Iterable[int]) -> bool:
     """Non-empty, inside 0..order-1 and closed under multiplication on
     either side; with an identity this is M*S*M == S."""

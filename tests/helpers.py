@@ -38,6 +38,14 @@ def check_factor_witness(us, vs, fw):
         assert ustart + off == vstart
 
 
+def ideal_product(M, I, J):
+    """{x*y : x in I, y in J}; an ideal inside both arguments when they are
+    ideals.  The library's shadow and idempotency checks close ideals
+    instead; this product is kept as their oracle."""
+    t = M.table
+    return tuple(sorted({t[x][y] for x in I for y in J}))
+
+
 def cut_by_step_fold(M, g, w, n):
     """cut as it was before the sequence-set DAG, kept as an oracle: the
     letter step folded over the whole set of non-identity sequences."""

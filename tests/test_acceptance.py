@@ -9,7 +9,7 @@ from pathlib import Path
 
 from monoidkit import (build_expansion, check_eta_aperiodic, check_refinement,
                        cut, cut_brute, factorizations, generator_map,
-                       ideal_generated, ideal_product, is_aperiodic, is_ideal,
+                       ideal_generated, is_aperiodic, is_ideal,
                        is_idempotent_ideal, is_prime_ideal, is_regular,
                        lemma_factor, minimal_ideal, parse_term,
                        replay_factorization, word_image, word_profile,
@@ -17,7 +17,8 @@ from monoidkit import (build_expansion, check_eta_aperiodic, check_refinement,
 from monoidkit.catalog import catalog, fixtures, n3, z2
 from monoidkit.cli import cli_dispatch
 
-from helpers import all_words, check_factor_witness, cut_by_step_fold
+from helpers import (all_words, check_factor_witness, cut_by_step_fold,
+                     ideal_product)
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
 

@@ -387,6 +387,21 @@ def test_cli_expand_writes_mon_and_sidecar(tmp_path, capsys):
     assert sidecar[2] == "P2 eta=1 rep=aa profile={(1,1),(g,g)}"
 
 
+def test_cli_written_files_escape_non_utf8_argv_bytes(tmp_path, capsys):
+    # a letter named by a \xff argv byte reaches the sidecar as \xNN, as
+    # in a report; an unwritable -o file is an error line and exit 2
+    out_path = tmp_path / "exp.mon"
+    code, _, _ = run(["expand", FIXDIR / "Z2.mon", "-n", "2", "--gens", "\udcff=g",
+                      "-o", out_path, "--format", "machine"], capsys)
+    assert code == 0
+    sidecar = (tmp_path / "exp.mon.map").read_text(encoding="utf-8").splitlines()
+    assert sidecar[2] == "P2 eta=1 rep=\\xff\\xff profile={(1,1),(g,g)}"
+    if os.path.exists("/dev/full"):
+        code, out, err = run(["expand", FIXDIR / "Z2.mon", "-n", "2", "--gens",
+                              "a=g", "-o", "/dev/full"], capsys)
+        assert (code, out, err) == (2, "", os_error_line(errno.ENOSPC))
+
+
 def test_cli_expand_table_flag(capsys):
     code, out, _ = run(["expand", FIXDIR / "Z2.mon", "-n", "2", "--gens", "a=g",
                         "--table", "--format", "machine"], capsys)
@@ -749,34 +764,17 @@ def test_cli_failed_stdout_exits_2(monkeypatch, capsys):
         assert cli_dispatch(["info", str(FIXDIR / "N3.mon"), "--format", "machine"]) == 2
         assert capsys.readouterr().err == line
 
+    # a stderr that fails as well: nothing is left to say why, and the
+    # report or the input error still exits 2 without raising
+    class Broken:
+        def write(self, text):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
 
-@pytest.mark.parametrize("stdout", ["full", "closed", "broken-pipe"])
-def test_cli_failed_stdout_exits_2_with_one_error_line(stdout):
-    # nothing more may reach stderr when the interpreter flushes stdout at exit
-    argv = [sys.executable, "-m", "monoidkit.cli", "info", str(FIXDIR / "N3.mon"),
-            "--format", "machine"]
-    env = {**os.environ, "PYTHONPATH": str(SRCDIR)}
-    if stdout == "full":
-        if not os.path.exists("/dev/full"):
-            pytest.skip("no /dev/full")
-        with open("/dev/full", "w") as full:
-            proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE,
-                                  text=True, env=env)
-        expected = os_error_line(errno.ENOSPC)
-    elif stdout == "closed":
-        proc = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *argv],
-                              stderr=subprocess.PIPE, text=True, env=env)
-        expected = "error: stdout is closed\n"
-    else:
-        read, write = os.pipe()
-        os.close(read)
-        try:
-            proc = subprocess.run(argv, stdout=write, stderr=subprocess.PIPE,
-                                  text=True, env=env)
-        finally:
-            os.close(write)
-        expected = os_error_line(errno.EPIPE)
-    assert (proc.returncode, proc.stderr) == (2, expected)
+    for stderr in (Broken(), None):
+        monkeypatch.setattr(sys, "stderr", stderr)
+        for argv in (["info", str(FIXDIR / "N3.mon"), "--format", "machine"],
+                     ["info", str(FIXDIR / "missing.mon")], ["info"]):
+            assert cli_dispatch(argv) == 2
 
 
 def test_cli_long_replay_exits_2_at_its_cap(capsys):
@@ -819,6 +817,74 @@ def documented_argvs():
         if line.startswith("mono "):
             argvs.append(shlex.split(line, comments=True)[1:])
     return argvs
+
+
+# `mono` as a fresh process: -I -S launches in about a third of -m's time
+MONO = [sys.executable, "-I", "-S", "-c",
+        f"import sys; sys.path.insert(0, {str(SRCDIR)!r}); "
+        "from monoidkit.cli import main; main()"]
+# each environment as its shell redirection, the error line a report
+# written into it gives, and whether stderr is lost; "broken-pipe" hands
+# stdout a pipe whose reader has gone
+STREAMS = {
+    "stdout-closed": (">&-", "error: stdout is closed\n", False),
+    "stderr-closed": ("2>&-", None, True),
+    "both-closed": (">&- 2>&-", "error: stdout is closed\n", True),
+    "stdout-full": (">/dev/full", os_error_line(errno.ENOSPC), False),
+    "stderr-full": ("2>/dev/full", None, True),
+    "broken-pipe": ("", os_error_line(errno.EPIPE), False),
+}
+
+
+def stream_argvs(command):
+    """A documented report, an input error and the help of one command."""
+    report = next(argv for argv in documented_argvs()
+                  if argv[0] == command and "machine" in argv)
+    if command == "lemma":
+        error = ["lemma", "--u", "ab", "--v", "ba"]
+    else:
+        error = [str(FIXDIR / "missing") if a.startswith(str(FIXDIR)) else a
+                 for a in report]
+    return report, error, [command, "--help"]
+
+
+def start_mono(argv, streams):
+    """Launch `mono` with its streams set up as STREAMS names them."""
+    cmd = ["sh", "-c", f'exec "$@" {STREAMS[streams][0]}', "sh", *MONO, *argv]
+    if streams != "broken-pipe":
+        return subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                encoding="utf-8")
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        return subprocess.Popen(cmd, stdout=write, stderr=subprocess.PIPE,
+                                encoding="utf-8")
+    finally:
+        os.close(write)
+
+
+@pytest.mark.parametrize("streams", list(STREAMS))
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_cli_output_streams(command, streams, monkeypatch, capsys):
+    """Every command keeps the exit-code contract whatever its streams: the
+    code it gives with normal streams, or 2 where a stream it writes fails,
+    with stderr, where it can be read, the same one `error:` line."""
+    _, failed_stdout, stderr_lost = STREAMS[streams]
+    if "full" in streams and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    monkeypatch.setenv("COLUMNS", "80")   # help wraps alike in both runs
+    argvs = stream_argvs(command)
+    # the three launches overlap; the normal runs are in process
+    for argv, proc in [(argv, start_mono(argv, streams)) for argv in argvs]:
+        code, out, err = run(argv, capsys)
+        assert err == "" or err.startswith("error: ") and err.count("\n") == 1
+        stdout, stderr = proc.communicate()
+        line = failed_stdout if out else None
+        assert proc.returncode == (2 if line or stderr_lost and err else code), argv
+        if not stderr_lost:
+            assert stderr == (line or err), argv
+        if failed_stdout is None:
+            assert stdout == out, argv
 
 
 def test_plain_parser_takes_every_documented_argv():

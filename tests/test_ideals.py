@@ -3,11 +3,10 @@ import time
 import pytest
 
 from monoidkit import (InputError, generate_from_transformations,
-                       ideal_generated, ideal_product, is_ideal,
-                       is_idempotent_ideal, is_prime_ideal, is_regular,
-                       minimal_ideal)
+                       ideal_generated, is_ideal, is_idempotent_ideal,
+                       is_prime_ideal, is_regular, minimal_ideal)
 from monoidkit.catalog import flipflop, n3, z2
-from helpers import T4_GENS
+from helpers import T4_GENS, ideal_product
 
 
 def test_ideal_generated_examples():
