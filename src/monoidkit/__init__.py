@@ -6,9 +6,7 @@ finite shadow checks, with a `mono` command line on top.
 """
 
 from .expansion import (DEFAULT_PROFILE_CAP, ExpandedMonoid, build_expansion,
-                        check_eta_aperiodic, check_refinement,
-                        identity_profile, letter_profile, profile_product,
-                        word_profile)
+                        check_eta_aperiodic, check_refinement, profile_product)
 from .formats import (Dfa, dfa_to_transition_monoid, load_table, parse_dfa,
                       parse_tgen, serialize_monoid)
 from .monoid import (DEFAULT_ELEMENT_CAP, CapExceeded, FiniteMonoid,
@@ -38,10 +36,10 @@ __all__ = [
     "dfa_to_transition_monoid", "evaluate", "factorizations",
     "generate_from_transformations", "generator_map", "greens",
     "group_element_shadow", "ideal_generated", "ideal_product_shadow",
-    "identity_profile", "is_aperiodic", "is_group_element", "is_ideal",
+    "is_aperiodic", "is_group_element", "is_ideal",
     "is_idempotent_ideal", "is_prime_ideal", "is_regular", "lemma_factor",
-    "letter_profile", "load_table", "match_factorization", "minimal_ideal",
+    "load_table", "match_factorization", "minimal_ideal",
     "parse_dfa", "parse_term", "parse_tgen", "profile_product",
     "replay_factorization", "segment_images", "serialize_monoid",
-    "term_text", "word_image", "word_profile",
+    "term_text", "word_image",
 ]

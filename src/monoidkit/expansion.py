@@ -16,13 +16,6 @@ from .words import CutProfile, _spread, _squeeze, _step
 DEFAULT_PROFILE_CAP = 20_000
 
 
-def letter_profile(M: FiniteMonoid, g: GeneratorMap, a: str, n: int) -> CutProfile:
-    """Profile of a single letter: its image in one slot, identity elsewhere."""
-    if n < 1:
-        raise InputError("arity must be >= 1")
-    return _spread(M, n, _step(M, n, [()], g.image(a)))
-
-
 def profile_product(M: FiniteMonoid, n: int, s: CutProfile, t: CutProfile) -> CutProfile:
     """Extend each non-identity sequence of s by one of t: t's first part
     takes the letter step and the rest follow as new parts.  Equals the
@@ -35,20 +28,6 @@ def profile_product(M: FiniteMonoid, n: int, s: CutProfile, t: CutProfile) -> Cu
         joined = _step(M, n, heads, b[0]) if b else heads
         out.update(c + b[1:] for c in joined if len(c) + len(b) <= n + 1)
     return _spread(M, n, out)
-
-
-def identity_profile(M: FiniteMonoid, n: int) -> CutProfile:
-    return _spread(M, n, [()])
-
-
-def word_profile(M: FiniteMonoid, g: GeneratorMap, w: str, n: int) -> CutProfile:
-    """Profile of a word as a fold of letter profiles under profile_product."""
-    if n < 1:
-        raise InputError("arity must be >= 1")
-    acc = identity_profile(M, n)
-    for ch in w:
-        acc = profile_product(M, n, acc, letter_profile(M, g, ch, n))
-    return acc
 
 
 class ExpandedMonoid(Record):
@@ -83,15 +62,11 @@ class ExpandedMonoid(Record):
         return tuple(map(self.profile, range(self.order)))
 
     @_cached
-    def index(self) -> dict[CutProfile, int]:
-        return {p: i for i, p in enumerate(self.profiles)}
-
-    @_cached
     def names(self) -> tuple[str, ...]:
         return tuple(f"P{i}" for i in range(self.order))
 
     def as_monoid(self) -> FiniteMonoid:
-        return FiniteMonoid(self.names, 0, self.table, words=self.representatives)
+        return FiniteMonoid(self.names, 0, self.table)
 
     def fiber(self, e: int) -> tuple[int, ...]:
         """All profiles projecting onto the base element e."""

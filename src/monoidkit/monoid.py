@@ -30,8 +30,8 @@ class CapExceeded(RuntimeError):
 
 
 class Record:
-    """An immutable value: the class's own annotations name its fields, a
-    class attribute gives a field's default.  Records compare equal when
+    """An immutable value: the class's own annotations name its fields,
+    each set once by position or keyword.  Records compare equal when
     they are of the same class with equal fields, hash as the tuple of
     their fields and print as ``Name(field=value, ...)``, as a frozen
     dataclass does, without the cost of importing and running
@@ -46,14 +46,13 @@ class Record:
         super().__init_subclass__()
         fields = tuple(cls.__annotations__)
         cls._fields = fields
-        cls._defaults = {f: cls.__dict__[f] for f in fields if f in cls.__dict__}
         get = attrgetter(*fields)
         cls._values = get if len(fields) > 1 else staticmethod(lambda r: (get(r),))
 
     def __init__(self, *args, **kwargs) -> None:
         fields = self._fields
         if kwargs or len(args) != len(fields):
-            bound = {**self._defaults, **dict(zip(fields, args)), **kwargs}
+            bound = dict(zip(fields, args), **kwargs)
             if (len(args) > len(fields) or bound.keys() != set(fields)
                     or not kwargs.keys().isdisjoint(fields[:len(args)])):
                 raise TypeError(f"{type(self).__name__}() takes the fields "
@@ -208,14 +207,15 @@ def _cycle(t: Sequence[Sequence[int]], e: int,
 class FiniteMonoid(Record):
     """A monoid given by its full multiplication table.
 
-    ``table[x][y]`` is the index of x*y.  ``words`` optionally records a
-    generator word per element, for monoids built by closure.
+    ``table[x][y]`` is the index of x*y.  Two monoids are equal when their
+    names, identity and table are, whatever built them; a monoid built by
+    closure is named by its elements' generator words (``1`` for the empty
+    one).
     """
 
     names: tuple[str, ...]
     identity: int
     table: tuple[tuple[int, ...], ...]
-    words: tuple[str, ...] | None = None
 
     @property
     def order(self) -> int:
@@ -403,8 +403,9 @@ def generate_from_transformations(
     """Close named maps on {0..degree-1} under composition, identity adjoined.
 
     Elements are ordered by shortlex-first generator word (generators in the
-    given order), each records that word, and `_closure` reads the table off
-    the search.  Returns the monoid and the generator map.
+    given order), each is named by that word (``1`` for the empty one), and
+    `_closure` reads the table off the search.  Returns the monoid and the
+    generator map.
     """
     if degree < 1:
         raise InputError("degree must be >= 1")
@@ -420,11 +421,10 @@ def generate_from_transformations(
     elems, words, table = _closure(
         tuple(range(degree)), lambda x, k: tuple(map(maps[k].__getitem__, x)),
         len(maps), cap, f"transformation closure exceeded cap of {cap} elements")
-    words = tuple("".join(map(names.__getitem__, w)) for w in words)
-    labels = tuple(w or "1" for w in words)
+    labels = tuple("".join(map(names.__getitem__, w)) or "1" for w in words)
     if len(set(labels)) != len(labels):
         raise InputError("generator words collide as element names; rename generators")
-    M = FiniteMonoid(labels, 0, table, words=words)
+    M = FiniteMonoid(labels, 0, table)
     return M, generator_map(M, {name: elems.index(m) for name, m in zip(names, maps)})
 
 

@@ -42,8 +42,9 @@ class OmegaPower(Record):
 OmegaTerm = Letter | Concat | Power | OmegaPower
 
 # Parentheses nest at most this deep.  Each level costs the parser three
-# stack frames (expr, factor, atom), and evaluate and term_text recurse once
-# per level, so this stays far below the interpreter's recursion limit.
+# stack frames (expr, factor, atom), evaluate at most three (itself, the
+# generator of a concatenation's parts and `_product`) and term_text one,
+# so this stays far below the interpreter's recursion limit.
 MAX_TERM_DEPTH = 100
 
 # replay's factorization match costs O(n*L^2) for a word of length L in n
@@ -155,10 +156,7 @@ def evaluate(t: OmegaTerm, M: FiniteMonoid, g: GeneratorMap) -> int:
     if isinstance(t, Letter):
         return g.image(t.symbol)
     if isinstance(t, Concat):
-        acc = M.identity
-        for p in t.parts:
-            acc = M.table[acc][evaluate(p, M, g)]
-        return acc
+        return _product(M, (evaluate(p, M, g) for p in t.parts))
     if isinstance(t, Power):
         if t.exponent < 1:
             raise InputError("exponent must be at least 1")

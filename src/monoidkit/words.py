@@ -10,7 +10,8 @@ from itertools import combinations, combinations_with_replacement
 from math import comb
 from operator import itemgetter
 
-from .monoid import CapExceeded, FiniteMonoid, GeneratorMap, InputError, Record
+from .monoid import (CapExceeded, FiniteMonoid, GeneratorMap, InputError, Record,
+                     _product)
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -32,10 +33,7 @@ def factorizations(w: str, n: int) -> Iterator[tuple[str, ...]]:
 
 def word_image(M: FiniteMonoid, g: GeneratorMap, w: str) -> int:
     """Image of a word under the letter map extended to a morphism."""
-    acc = M.identity
-    for ch in w:
-        acc = M.table[acc][g.image(ch)]
-    return acc
+    return _product(M, map(g.image, w))
 
 
 def _images_from(M: FiniteMonoid, imgs: Sequence[int], i: int) -> list[int]:

@@ -3,6 +3,7 @@ the earlier algorithms kept as oracles."""
 
 from itertools import product
 
+from monoidkit.expansion import profile_product
 from monoidkit.monoid import InputError
 from monoidkit.words import _spread, _step
 
@@ -44,6 +45,35 @@ def ideal_product(M, I, J):
     instead; this product is kept as their oracle."""
     t = M.table
     return tuple(sorted({t[x][y] for x in I for y in J}))
+
+
+# A word's profile as a fold of letter profiles under profile_product, kept
+# as an oracle for cut, with the letter and identity profiles it folds.
+
+def letter_profile(M, g, a, n):
+    """Profile of a single letter: its image in one slot, identity elsewhere."""
+    if n < 1:
+        raise InputError("arity must be >= 1")
+    return _spread(M, n, _step(M, n, [()], g.image(a)))
+
+
+def identity_profile(M, n):
+    return _spread(M, n, [()])
+
+
+def word_profile(M, g, w, n):
+    """Profile of a word as a fold of letter profiles under profile_product."""
+    if n < 1:
+        raise InputError("arity must be >= 1")
+    acc = identity_profile(M, n)
+    for ch in w:
+        acc = profile_product(M, n, acc, letter_profile(M, g, ch, n))
+    return acc
+
+
+def profile_index(E):
+    """Each spread profile of the expansion E to its number."""
+    return {p: i for i, p in enumerate(E.profiles)}
 
 
 def cut_by_step_fold(M, g, w, n):

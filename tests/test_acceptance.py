@@ -12,13 +12,13 @@ from monoidkit import (build_expansion, check_eta_aperiodic, check_refinement,
                        ideal_generated, is_aperiodic, is_ideal,
                        is_idempotent_ideal, is_prime_ideal, is_regular,
                        lemma_factor, minimal_ideal, parse_term,
-                       replay_factorization, word_image, word_profile,
+                       replay_factorization, word_image,
                        ideal_product_shadow, group_element_shadow)
 from monoidkit.catalog import catalog, fixtures, n3, z2
 from monoidkit.cli import cli_dispatch
 
 from helpers import (all_words, check_factor_witness, cut_by_step_fold,
-                     ideal_product)
+                     ideal_product, word_profile)
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
 

@@ -2,20 +2,24 @@ import os
 import random
 from functools import reduce
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 from monoidkit import (CapExceeded, CutProfile, InputError, build_expansion,
                        check_eta_aperiodic, check_refinement, cut,
-                       generator_map, identity_profile, is_aperiodic,
-                       letter_profile, profile_product, word_image,
-                       word_profile)
-from monoidkit.catalog import flipflop, n3, trivial, z2, z3
+                       generator_map, is_aperiodic, load_table,
+                       profile_product, word_image)
+from monoidkit.catalog import flipflop, n3, t2, trivial, z2, z3
 from monoidkit.cli import _expansion_sidecar
 from monoidkit.expansion import DEFAULT_PROFILE_CAP, ExpandedMonoid
 from monoidkit.monoid import configured_cap
 from monoidkit.words import _spread, _squeeze, _step
-from helpers import all_words, check_eta_aperiodic_by_omega
+from helpers import (all_words, check_eta_aperiodic_by_omega,
+                     identity_profile, letter_profile, profile_index,
+                     word_profile)
+
+FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_letter_profile_examples(cat):
@@ -223,6 +227,16 @@ def test_refinement_examples(cat):
             assert check_refinement(hi, lo)
 
 
+def test_refinement_across_construction_routes():
+    # T2 built by closure and T2 loaded from its .mon file are one monoid
+    loaded = load_table((FIXDIR / "T2.mon").read_text())
+    E = {}
+    for n, M in ((2, t2()), (1, loaded)):
+        g = generator_map(M, {"a": M.element("s"), "b": M.element("c1")})
+        E[n] = build_expansion(M, g, n)
+    assert check_refinement(E[2], E[1]) is True
+
+
 def test_refinement_input_errors(cat):
     Ma, ga = cat["z2"]
     Mb, gb = cat["z3"]
@@ -234,8 +248,9 @@ def test_refinement_input_errors(cat):
 
 def product_table(E):
     """The table by brute force: one profile product per pair of profiles."""
+    index = profile_index(E)
     return tuple(
-        tuple(E.index[profile_product(E.base, E.n, p, q)] for q in E.profiles)
+        tuple(index[profile_product(E.base, E.n, p, q)] for q in E.profiles)
         for p in E.profiles)
 
 
@@ -443,17 +458,18 @@ def test_each_profile_is_spread_once(monkeypatch, cat):
 def check_refinement_by_tuples(E_hi, E_lo):
     """The earlier check_refinement, kept as an oracle: truncate each
     spread tuple that ends in the identity and look the result up in
-    E_lo.index."""
+    E_lo's profile index."""
     if E_hi.base != E_lo.base or E_hi.gmap != E_lo.gmap:
         raise InputError("expansions have different bases or generators")
     if E_hi.n != E_lo.n + 1:
         raise InputError("refinement needs arities n+1 and n")
     e = E_hi.base.identity
     n = E_lo.n
+    index = profile_index(E_lo)
     f = []
     for p in E_hi.profiles:
         q = CutProfile.make(n, (t[:-1] for t in p.tuples if t[-1] == e))
-        k = E_lo.index.get(q)
+        k = index.get(q)
         if k is None:
             return False
         f.append(k)
@@ -536,11 +552,12 @@ def test_profile_product_matches_padded_oracle(fx):
     rng = random.Random(int(os.environ.get("MONO_SEED", "0")))
     for name, (M, g) in fx.items():
         E = build_expansion(M, g, 3)
+        index = profile_index(E)
         for _ in range(150):
             p, q = rng.choice(E.profiles), rng.choice(E.profiles)
             pq = profile_product(M, 3, p, q)
             assert pq == profile_product_padded(M, 3, p, q), name
-            assert E.index[pq] == E.table[E.index[p]][E.index[q]], name
+            assert index[pq] == E.table[index[p]][index[q]], name
 
 
 def test_word_profile_equals_cut(cat):

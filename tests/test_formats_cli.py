@@ -12,9 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from monoidkit import (InputError, dfa_to_transition_monoid, load_table,
-                       parse_dfa, parse_tgen, serialize_monoid)
-from monoidkit.catalog import b21, flipflop, n3, t2, trivial, z2, z3
+from monoidkit import (InputError, build_expansion, dfa_to_transition_monoid,
+                       load_table, parse_dfa, parse_tgen, serialize_monoid)
+from monoidkit.catalog import b21, fixtures, flipflop, n3, t2, trivial, z2, z3
 from monoidkit.cli import (_COMMANDS, _build_parser, _digest, _parse_plain,
                            cli_dispatch)
 
@@ -64,12 +64,20 @@ def test_serialize_golden_texts():
 
 
 def test_serialize_round_trip():
-    for M in (trivial(), z2(), z3(), n3(), flipflop(), t2(), b21()):
+    # tables, closures of .tgen and .dfa fixtures and an expansion: a monoid
+    # is its names, identity and table, so the loaded copy equals it
+    built = [trivial(), z2(), z3(), n3(), flipflop(), t2(), b21()]
+    built += [parse_tgen(path.read_text())[0] for path in sorted(FIXDIR.glob("*.tgen"))]
+    built += [dfa_to_transition_monoid(parse_dfa(path.read_text()))[0]
+              for path in sorted(FIXDIR.glob("*.dfa"))]
+    built.append(build_expansion(*fixtures()["t2"], 2).as_monoid())
+    for M in built:
         text = serialize_monoid(M)
         M2 = load_table(text)
         assert M2.names == M.names
         assert M2.identity == M.identity
         assert M2.table == M.table
+        assert M2 == M and hash(M2) == hash(M)
         assert serialize_monoid(M2) == text
 
 
@@ -885,6 +893,26 @@ def test_cli_output_streams(command, streams, monkeypatch, capsys):
             assert stderr == (line or err), argv
         if failed_stdout is None:
             assert stdout == out, argv
+
+
+@pytest.mark.parametrize("case", ["directory", "no-permission"])
+def test_cli_unreadable_input(case, tmp_path):
+    """An input that cannot be read is an input error: exit 2 with one
+    `error:` line.  Root reads a file whatever its mode, so the permission
+    case runs only as another user."""
+    if case == "directory":
+        path, code = tmp_path, errno.EISDIR
+    else:
+        if os.geteuid() == 0:
+            pytest.skip("root reads a file without read permission")
+        path, code = tmp_path / "locked.mon", errno.EACCES
+        path.write_bytes((FIXDIR / "N3.mon").read_bytes())
+        path.chmod(0)
+    proc = subprocess.run([*MONO, "info", str(path)], capture_output=True,
+                          encoding="utf-8")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: [Errno {code}] {os.strerror(code)}: {str(path)!r}\n"
 
 
 def test_plain_parser_takes_every_documented_argv():

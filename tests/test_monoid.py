@@ -83,7 +83,7 @@ def generate_pairwise(degree, gens, cap=None):
     table = tuple(
         tuple(index[tuple(b[a[p]] for p in range(degree))] for b in elems)
         for a in elems)
-    M = FiniteMonoid(names, 0, table, words=tuple(words))
+    M = FiniteMonoid(names, 0, table)
     gm = generator_map(M, {name: index[m] for name, m in items})
     return M, gm
 
@@ -338,7 +338,7 @@ def test_validate_matches_brute_oracle(oracle_monoids, cat):
             for _ in range(k):
                 x, y = rng.randrange(n), rng.randrange(n)
                 rows[x][y] = rng.choice([v for v in range(n) if v != rows[x][y]])
-            Mx = FiniteMonoid(M.names, M.identity, tuple(map(tuple, rows)), M.words)
+            Mx = FiniteMonoid(M.names, M.identity, tuple(map(tuple, rows)))
             verdict = validate_verdict(validate_brute, Mx)
             assert validate_verdict(FiniteMonoid.validate, Mx) == verdict
             failures += verdict is not None and verdict.startswith("not associative")
@@ -413,7 +413,7 @@ def test_generate_swap_gives_z2():
     M, g = generate_from_transformations(2, {"a": (1, 0)})
     assert M.order == 2
     assert M.mul(1, 1) == 0
-    assert M.words == ("", "a")
+    assert M.names == ("1", "a")
     assert g.image("a") == 1
 
 
@@ -459,7 +459,7 @@ def test_closure_matches_pairwise_oracle(monkeypatch):
     for degree, gens in closure_cases(monkeypatch):
         M, g = generate_from_transformations(degree, gens)
         M_ref, g_ref = generate_pairwise(degree, gens)
-        assert M.names == M_ref.names and M.words == M_ref.words, (degree, gens)
+        assert M.names == M_ref.names, (degree, gens)
         assert M.table == M_ref.table, (degree, gens)
         assert M == M_ref and g == g_ref
         orders.append(M.order)

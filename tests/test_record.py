@@ -55,17 +55,15 @@ def test_records_reject_assignment():
     assert M.identity == 0
 
 
-def test_fields_by_position_keyword_and_default():
+def test_fields_by_position_and_keyword():
     table = ((0, 1), (1, 0))
     M = FiniteMonoid(("1", "g"), 0, table)
-    assert M.words is None
-    assert M == FiniteMonoid(names=("1", "g"), identity=0, table=table, words=None)
+    assert M == FiniteMonoid(names=("1", "g"), identity=0, table=table)
     assert M == FiniteMonoid(table=table, identity=0, names=("1", "g"))
-    assert FiniteMonoid(("1", "g"), 0, table, ("", "a")).words == ("", "a")
     with pytest.raises(TypeError):
         FiniteMonoid(("1", "g"), 0)
     with pytest.raises(TypeError):
-        FiniteMonoid(("1", "g"), 0, table, None, None)
+        FiniteMonoid(("1", "g"), 0, table, None)
     with pytest.raises(TypeError):
         FiniteMonoid(("1", "g"), 0, table, order=2)
     with pytest.raises(TypeError):
@@ -78,13 +76,13 @@ def test_records_copy_and_pickle():
         assert other == w and type(other) is FactorWitness
 
 
-def test_expanded_monoid_index_is_cached(cat):
+def test_expanded_monoid_profiles_are_cached(cat):
     E = build_expansion(*cat["z2"], 2)
     fresh = build_expansion(*cat["z2"], 2)
     before = hash(E), repr(E)
-    assert E.index is E.index
+    assert E.profiles is E.profiles
     assert E.names is E.names
-    assert E.index == {p: i for i, p in enumerate(E.profiles)}
+    assert E.profiles == tuple(map(E.profile, range(E.order)))
     assert E.names == ("P0", "P1", "P2")
     # the cached values are not fields: equality, hash and repr ignore them
     assert E == fresh and fresh == E
@@ -92,25 +90,25 @@ def test_expanded_monoid_index_is_cached(cat):
     with pytest.raises(AttributeError):
         E.n = 3
     with pytest.raises(AttributeError):
-        E.index = {}
+        E.profiles = ()
 
 
 class Pair(Record):
     left: int
-    right: int = 0
+    right: int
 
 
 def test_a_class_field_list_comes_from_its_own_annotations():
     assert Pair._fields == ("left", "right")
-    assert Pair(1) == Pair(1, 0) and Pair(1) != Pair(1, 1)
-    assert repr(Pair(1)) == "Pair(left=1, right=0)"
+    assert Pair(1, 0) == Pair(left=1, right=0) and Pair(1, 0) != Pair(1, 1)
+    assert repr(Pair(1, 0)) == "Pair(left=1, right=0)"
 
 
 def test_repr_matches_the_dataclass_format():
     # strings printed by the frozen dataclasses these records replaced
     M = z2()
     assert repr(M) == ("FiniteMonoid(names=('1', 'g'), identity=0, "
-                       "table=((0, 1), (1, 0)), words=None)")
+                       "table=((0, 1), (1, 0)))")
     g = generator_map(M, {"a": M.element("g")})
     assert repr(cut(M, g, "aaa", 2)) == "CutProfile(n=2, tuples=((0, 1), (1, 0)))"
     assert repr(lemma_factor(["ab", "c"], ["a", "b", "c"])) == (

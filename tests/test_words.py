@@ -12,10 +12,10 @@ import pytest
 import monoidkit.words
 from monoidkit import (CapExceeded, CutProfile, FactorWitness, InputError, cut,
                        cut_brute, factorizations, generator_map, lemma_factor,
-                       match_factorization, segment_images, word_image,
-                       word_profile)
+                       match_factorization, segment_images, word_image)
 from monoidkit.catalog import z2
-from helpers import all_words, check_factor_witness, cut_by_step_fold
+from helpers import (all_words, check_factor_witness, cut_by_step_fold,
+                     word_profile)
 
 
 def test_factorizations_examples():
