@@ -123,8 +123,10 @@ def check_eta_aperiodic(E: ExpandedMonoid) -> tuple[bool, tuple[int, int] | None
 def check_refinement(E_hi: ExpandedMonoid, E_lo: ExpandedMonoid) -> bool:
     """Truncation via padding maps the arity-(n+1) expansion onto the
     arity-n one; verify it is a well-defined surjective morphism commuting
-    with eta."""
-    if E_hi.base != E_lo.base or E_hi.gmap != E_lo.gmap:
+    with eta.  The two letter maps must agree letter by letter; the order
+    they list their letters in does not matter."""
+    maps = [dict(zip(E.gmap.alphabet, E.gmap.images)) for E in (E_hi, E_lo)]
+    if E_hi.base != E_lo.base or maps[0] != maps[1]:
         raise InputError("expansions have different bases or generators")
     if E_hi.n != E_lo.n + 1:
         raise InputError("refinement needs arities n+1 and n")

@@ -8,6 +8,7 @@ this module is safe to share between threads.
 from __future__ import annotations
 
 import sys
+from itertools import islice
 from operator import attrgetter, itemgetter
 
 TYPE_CHECKING = False
@@ -138,29 +139,20 @@ def _check_name(name: str) -> None:
 def _greedy_generators(t: Sequence[Sequence[int]]) -> list[int]:
     """A generating set of the table t (read as a magma): scan 0..n-1 and
     pick every element that is not yet a left-nested product of earlier
-    picks; the reached set is closed under right multiplication by the
-    picks, so each element is multiplied by each pick once, O(n * |A|)."""
-    n = len(t)
+    picks.  A pick x seeds x and p*x for each p found so far, and _reach
+    closes the new elements under right multiplication by the picks, so the
+    reached set stays closed and each element is multiplied by each pick
+    once, O(n * |A|)."""
     gens: list[int] = []
-    reached = [False] * n
     found: list[int] = []
-    for x in range(n):
-        if reached[x]:
-            continue
-        gens.append(x)
-        done = len(found)
-        for q in [x] + [t[p][x] for p in found]:
-            if not reached[q]:
-                reached[q] = True
-                found.append(q)
-        while done < len(found):
-            row = t[found[done]]
-            for a in gens:
-                q = row[a]
-                if not reached[q]:
-                    reached[q] = True
-                    found.append(q)
-            done += 1
+    reached: set[int] = set()
+    for x in range(len(t)):
+        if x not in reached:
+            gens.append(x)
+            done = len(found)
+            seeds = dict.fromkeys([x, *(t[p][x] for p in found)])
+            found += [q for q in seeds if q not in reached]
+            reached.update(islice(_reach(t, found, gens, start=done), done, None))
     return gens
 
 
@@ -306,14 +298,15 @@ class GeneratorMap(Record):
 
 
 def _reach(t: Sequence[Sequence[int]], found: list[int], right: Sequence[int],
-           left: Sequence[int] = ()) -> list[int]:
+           left: Sequence[int] = (), start: int = 0) -> list[int]:
     """Extend found, a list of distinct elements, in place to its closure
-    under x*a for a in right and a*x for a in left, and return it.  Each
-    element is multiplied by each of them once, O(|closure| * (|right| +
-    |left|))."""
+    under x*a for a in right and a*x for a in left, and return it.  The
+    elements before found[start] are taken as already multiplied.  Each
+    other element is multiplied by each of them once, O(|closure| *
+    (|right| + |left|))."""
     seen = set(found)
     cols = [t[a] for a in left]
-    for x in found:  # the loop also visits the elements appended below
+    for x in islice(found, start, None):  # also visits the elements appended below
         row = t[x]
         for q in [*map(row.__getitem__, right), *(c[x] for c in cols)]:
             if q not in seen:

@@ -88,6 +88,12 @@ def _squeeze(M: FiniteMonoid, p: CutProfile) -> set[tuple[int, ...]]:
     return {tuple(x for x in t if x != M.identity) for t in p.tuples}
 
 
+def _check_profile_size(size: int) -> None:
+    if size > MAX_PROFILE_TUPLES:
+        raise CapExceeded(f"cut profile of {size} tuples exceeds cap of "
+                          f"{MAX_PROFILE_TUPLES}", size)
+
+
 def _spread(M: FiniteMonoid, n: int, seqs: Collection[tuple[int, ...]]) -> CutProfile:
     """Every placement of each sequence into n slots, identity elsewhere (a
     part of image 1 reads like an empty part, so this inverts _squeeze).
@@ -95,10 +101,7 @@ def _spread(M: FiniteMonoid, n: int, seqs: Collection[tuple[int, ...]]) -> CutPr
     A placement of k parts is an itemgetter over the sequence with the
     identity appended at index k; each k's getters are built once per call
     and shared by all its sequences of k parts."""
-    size = sum(comb(n, len(s)) for s in seqs)
-    if size > MAX_PROFILE_TUPLES:
-        raise CapExceeded(f"cut profile of {size} tuples exceeds cap of "
-                          f"{MAX_PROFILE_TUPLES}", size)
+    _check_profile_size(sum(comb(n, len(s)) for s in seqs))
     pad = (M.identity,)
     if n == 1:  # itemgetter of one index returns an entry, not a tuple
         return CutProfile(1, tuple(sorted(s or pad for s in seqs)))
@@ -255,7 +258,10 @@ class _SequenceDag:
 
     def sequences(self, a: int) -> list[tuple[int, ...]]:
         """Every sequence of a, once each: a sequence is one path, read
-        from its last element, and its tuple is built once at the end."""
+        from its last element, and its tuple is built once at the end.
+        Each sequence spreads into one tuple or more, so past
+        MAX_PROFILE_TUPLES sequences the listing stops and the profile's
+        tuples are counted for CapExceeded instead."""
         nodes = self.nodes
         out, path = [], []
         stack = [(a, 0, None)]      # (node, length of path above it, its c)
@@ -267,8 +273,31 @@ class _SequenceDag:
             holds_empty, groups = nodes[b]
             if holds_empty:
                 out.append(tuple(reversed(path)))
+                if len(out) > MAX_PROFILE_TUPLES:
+                    _check_profile_size(self.tuple_count(a))
             stack += [(p, len(path), c) for c, p in groups]
         return out
+
+    def tuple_count(self, a: int) -> int:
+        """How many n-tuples a's sequences spread into: sum of C(n, k) over
+        its sequences of k elements, counted by length on the nodes below a,
+        children (numbered first) before parents."""
+        nodes, n = self.nodes, self.n
+        below, stack = {a}, [a]
+        while stack:
+            for _, p in nodes[stack.pop()][1]:
+                if p not in below:
+                    below.add(p)
+                    stack.append(p)
+        by_length: dict[int, list[int]] = {}
+        for b in sorted(below):
+            holds_empty, groups = nodes[b]
+            counts = [int(holds_empty)] + [0] * n
+            for _, p in groups:
+                for k, m in enumerate(by_length[p][:n], 1):
+                    counts[k] += m
+            by_length[b] = counts
+        return sum(comb(n, k) * m for k, m in enumerate(by_length[a]))
 
 
 def cut(M: FiniteMonoid, g: GeneratorMap, w: str, n: int) -> CutProfile:

@@ -47,6 +47,34 @@ def ideal_product(M, I, J):
     return tuple(sorted({t[x][y] for x in I for y in J}))
 
 
+def greedy_generators_by_scan(t):
+    """monoid._greedy_generators as it was before it closed through
+    monoid._reach, kept as an oracle: the same picks, with its own reached
+    array and closure loop."""
+    n = len(t)
+    gens: list[int] = []
+    reached = [False] * n
+    found: list[int] = []
+    for x in range(n):
+        if reached[x]:
+            continue
+        gens.append(x)
+        done = len(found)
+        for q in [x] + [t[p][x] for p in found]:
+            if not reached[q]:
+                reached[q] = True
+                found.append(q)
+        while done < len(found):
+            row = t[found[done]]
+            for a in gens:
+                q = row[a]
+                if not reached[q]:
+                    reached[q] = True
+                    found.append(q)
+            done += 1
+    return gens
+
+
 # A word's profile as a fold of letter profiles under profile_product, kept
 # as an oracle for cut, with the letter and identity profiles it folds.
 

@@ -237,6 +237,19 @@ def test_refinement_across_construction_routes():
     assert check_refinement(E[2], E[1]) is True
 
 
+def test_refinement_ignores_the_order_of_the_letters():
+    # one map listed as a, b and as b, a: the same expansions, so the check
+    # holds; a map that sends a letter elsewhere, or another base, raises
+    M = t2()
+    s, c1 = M.element("s"), M.element("c1")
+    hi = build_expansion(M, generator_map(M, {"a": s, "b": c1}), 2)
+    lo = build_expansion(M, generator_map(M, {"b": c1, "a": s}), 1)
+    assert check_refinement(hi, lo) is True
+    for other, images in ((M, {"b": s, "a": c1}), (z2(), {"b": 0, "a": 1})):
+        with pytest.raises(InputError, match="different bases or generators"):
+            check_refinement(hi, build_expansion(other, generator_map(other, images), 1))
+
+
 def test_refinement_input_errors(cat):
     Ma, ga = cat["z2"]
     Mb, gb = cat["z3"]

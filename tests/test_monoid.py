@@ -22,8 +22,8 @@ from monoidkit.cli import cli_dispatch
 from monoidkit.monoid import (DEFAULT_ELEMENT_CAP, FiniteMonoid, GreensData,
                               _check_name, _classify, _first_violation,
                               _greedy_generators, _product, configured_cap)
-from helpers import (M52_GENS, T3_GENS, T4_GENS, ideal_product,
-                     is_aperiodic_by_omega, omega_power_by_search,
+from helpers import (M52_GENS, T3_GENS, T4_GENS, greedy_generators_by_scan,
+                     ideal_product, is_aperiodic_by_omega, omega_power_by_search,
                      power_by_squaring)
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -776,6 +776,23 @@ def test_is_prime_ideal_matches_the_cell_loop(fx):
             assert got == is_prime_ideal_by_cells(M, S), (M.names, sorted(S))
             verdicts.add(got[0])
     assert verdicts == {True, False}
+
+
+def test_greedy_generators_match_the_scan_oracle(oracle_monoids):
+    # the oracle monoids, T4, M52, a 400-element null monoid with identity
+    # and MONO_SEED-seeded tables of order 1 to 12, most of them not
+    # associative: validate picks the generators before Light's test
+    tables = [M.table for M in oracle_monoids.values()]
+    tables += [generate_from_transformations(4, gens)[0].table
+               for gens in (T4_GENS, M52_GENS)]
+    n = 400
+    tables.append((tuple(range(n)), *((x,) + (1,) * (n - 1) for x in range(1, n))))
+    rng = random.Random(int(os.environ.get("MONO_SEED", "0")))
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        tables.append(tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(n)))
+    for t in tables:
+        assert _greedy_generators(t) == greedy_generators_by_scan(t), t
 
 
 @pytest.mark.parametrize("argv", [["ideal", "N3.mon", "a"], ["info", "N3.mon"]])

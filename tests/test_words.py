@@ -165,6 +165,48 @@ def test_cut_profile_size_cap(fx, monkeypatch):
     assert str(ei.value) == f"cut profile of {size} tuples exceeds cap of {size - 1}"
 
 
+def test_cut_stops_listing_sequences_past_the_cap(fx, monkeypatch):
+    # a cap below the number of sequences stops the listing before any
+    # tuple is spread: the same error line and count as the step fold,
+    # which spreads every sequence; MONO_SEED pins the words
+    rng = random.Random(int(os.environ.get("MONO_SEED", "0")))
+
+    def unreachable(*args):
+        raise AssertionError("a profile past the cap was spread")
+
+    for name, n, length in (("flipflop", 8, 60), ("b21", 5, 60), ("t2", 4, 40)):
+        M, g = fx[name]
+        w = "".join(rng.choice("ab") for _ in range(length))
+        listed = len(monoidkit.words._squeeze(M, cut(M, g, w, n)))
+        for cap in (0, listed // 2, listed - 1):
+            monkeypatch.setattr(monoidkit.words, "MAX_PROFILE_TUPLES", cap)
+            with pytest.raises(CapExceeded) as oracle:
+                cut_by_step_fold(M, g, w, n)
+            monkeypatch.setattr(monoidkit.words, "_spread", unreachable)
+            with pytest.raises(CapExceeded) as got:
+                cut(M, g, w, n)
+            monkeypatch.undo()
+            assert str(got.value) == str(oracle.value), (name, w, n, cap)
+            assert got.value.count == oracle.value.count, (name, w, n, cap)
+
+
+def test_cut_past_the_cap_stays_in_small_memory(fx):
+    # (ab)^150 at n = 30 has more than a billion sequences; the listing
+    # stops at the cap and the tuples are counted on the DAG
+    M, g = fx["flipflop"]
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded) as exc:
+            cut(M, g, "ab" * 150, 30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.count == 102945566047324
+    assert str(exc.value) == ("cut profile of 102945566047324 tuples "
+                              "exceeds cap of 100000")
+    assert peak < 100_000_000
+
+
 # the benchmark's cut shapes: (fixture, arity, word length)
 LONG_CUTS = (("flipflop", 8, 120), ("flipflop", 8, 60), ("flipflop", 6, 200),
              ("n3", 7, 60), ("n3", 6, 120), ("n3", 5, 200),
