@@ -21,8 +21,7 @@ from .shadows import (Concat, Letter, MembershipVerdict, OmegaPower,
                       ideal_product_shadow, parse_term, replay_factorization,
                       term_text)
 from .words import (CutProfile, FactorWitness, cut, cut_brute, factorizations,
-                    lemma_factor, match_factorization, segment_images,
-                    word_image)
+                    lemma_factor, match_factorization, word_image)
 
 __version__ = "0.1.0"
 
@@ -40,6 +39,6 @@ __all__ = [
     "is_idempotent_ideal", "is_prime_ideal", "is_regular", "lemma_factor",
     "load_table", "match_factorization", "minimal_ideal",
     "parse_dfa", "parse_term", "parse_tgen", "profile_product",
-    "replay_factorization", "segment_images", "serialize_monoid",
+    "replay_factorization", "serialize_monoid",
     "term_text", "word_image",
 ]

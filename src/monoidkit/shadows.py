@@ -204,8 +204,9 @@ class MembershipVerdict(Record):
     """Outcome of the ideal-product membership check.
 
     hypothesis: the product of the elements lies in the product of the
-    ideals.  witness: 1-based (i, j) with element i inside ideal j, when
-    one exists.  membership[i][j] is the full element-by-ideal matrix.
+    ideals.  witness: 1-based (i, j) with element i inside ideal j, the
+    least j and then the least i, when the hypothesis holds and one
+    exists.  membership[i][j] is the full element-by-ideal matrix.
     """
 
     hypothesis: bool
@@ -242,18 +243,10 @@ def ideal_product_shadow(
     iprod = ideals[0]
     for G in gvals[1:]:
         iprod = ideal_generated(M, {M.table[x][y] for x in iprod for y in G})
-    membership = tuple(
-        tuple(avals[i] in ideal_sets[j] for j in range(n)) for i in range(m))
-    hypothesis = product in set(iprod)
-    witness = None
-    if hypothesis:
-        for j in range(n):
-            for i in range(m):
-                if membership[i][j]:
-                    witness = (i + 1, j + 1)
-                    break
-            if witness:
-                break
+    membership = tuple(tuple(a in I for I in ideal_sets) for a in avals)
+    hypothesis = product in iprod
+    witness = next(((i + 1, j + 1) for j in range(n) for i in range(m)
+                    if membership[i][j]), None) if hypothesis else None
     return MembershipVerdict(hypothesis, witness, membership, product, iprod)
 
 

@@ -47,13 +47,6 @@ def _images_from(M: FiniteMonoid, imgs: Sequence[int], i: int) -> list[int]:
     return row
 
 
-def segment_images(M: FiniteMonoid, g: GeneratorMap, w: str) -> list[list[int]]:
-    """seg[i][j] = image of w[i:j] (the identity for j < i); an (L+1)^2
-    precompute for repeated lookups."""
-    imgs = [g.image(ch) for ch in w]
-    return [[M.identity] * i + _images_from(M, imgs, i) for i in range(len(w) + 1)]
-
-
 class CutProfile(Record):
     """The set of n-tuples of part images over all n-part factorizations
     of some word.
@@ -71,16 +64,10 @@ class CutProfile(Record):
 
 
 def cut_brute(M: FiniteMonoid, g: GeneratorMap, w: str, n: int) -> CutProfile:
-    """Profile by enumerating every factorization; the oracle implementation."""
-    if n < 1:
-        raise InputError("arity must be >= 1")
-    seg = segment_images(M, g, w)
-    L = len(w)
-    out = set()
-    for cuts in combinations_with_replacement(range(L + 1), n - 1):
-        bounds = (0, *cuts, L)
-        out.add(tuple(seg[bounds[k]][bounds[k + 1]] for k in range(n)))
-    return CutProfile.make(n, out)
+    """Profile by the definition: the part images of every n-part
+    factorization; the oracle implementation."""
+    return CutProfile.make(n, (tuple(word_image(M, g, u) for u in parts)
+                               for parts in factorizations(w, n)))
 
 
 def _squeeze(M: FiniteMonoid, p: CutProfile) -> set[tuple[int, ...]]:
@@ -90,8 +77,21 @@ def _squeeze(M: FiniteMonoid, p: CutProfile) -> set[tuple[int, ...]]:
 
 def _check_profile_size(size: int) -> None:
     if size > MAX_PROFILE_TUPLES:
-        raise CapExceeded(f"cut profile of {size} tuples exceeds cap of "
+        raise CapExceeded(f"cut profile of {_decimal(size)} tuples exceeds cap of "
                           f"{MAX_PROFILE_TUPLES}", size)
+
+
+def _decimal(count: int) -> str:
+    """count in decimal or, past the digits that int-to-str conversion
+    allows (4300 by default), `more than 10^k` for the largest such k."""
+    try:
+        return str(count)
+    except ValueError:
+        k = (count.bit_length() - 1) * 30102 // 100_000   # 10^k < 2^(bits-1)
+        p = 10 ** k
+        while 10 * p < count:
+            p, k = 10 * p, k + 1
+        return f"more than 10^{k}"
 
 
 def _spread(M: FiniteMonoid, n: int, seqs: Collection[tuple[int, ...]]) -> CutProfile:
@@ -101,7 +101,8 @@ def _spread(M: FiniteMonoid, n: int, seqs: Collection[tuple[int, ...]]) -> CutPr
     A placement of k parts is an itemgetter over the sequence with the
     identity appended at index k; each k's getters are built once per call
     and shared by all its sequences of k parts."""
-    _check_profile_size(sum(comb(n, len(s)) for s in seqs))
+    lengths = [len(s) for s in seqs]    # one C(n, k) per length: n may be huge
+    _check_profile_size(sum(comb(n, k) * lengths.count(k) for k in set(lengths)))
     pad = (M.identity,)
     if n == 1:  # itemgetter of one index returns an entry, not a tuple
         return CutProfile(1, tuple(sorted(s or pad for s in seqs)))
@@ -282,7 +283,7 @@ class _SequenceDag:
         """How many n-tuples a's sequences spread into: sum of C(n, k) over
         its sequences of k elements, counted by length on the nodes below a,
         children (numbered first) before parents."""
-        nodes, n = self.nodes, self.n
+        nodes, height = self.nodes, self.height
         below, stack = {a}, [a]
         while stack:
             for _, p in nodes[stack.pop()][1]:
@@ -292,12 +293,12 @@ class _SequenceDag:
         by_length: dict[int, list[int]] = {}
         for b in sorted(below):
             holds_empty, groups = nodes[b]
-            counts = [int(holds_empty)] + [0] * n
+            counts = [int(holds_empty)] + [0] * height[b]
             for _, p in groups:
-                for k, m in enumerate(by_length[p][:n], 1):
+                for k, m in enumerate(by_length[p], 1):
                     counts[k] += m
             by_length[b] = counts
-        return sum(comb(n, k) * m for k, m in enumerate(by_length[a]))
+        return sum(comb(self.n, k) * m for k, m in enumerate(by_length[a]))
 
 
 def cut(M: FiniteMonoid, g: GeneratorMap, w: str, n: int) -> CutProfile:
@@ -336,8 +337,8 @@ def match_factorization(
     L = len(w)
     # ends[k]: where part k may end, parts k+1.. still matching, descending.
     # The start positions j are scanned from L down with one row of images
-    # at a time, so memory is O(n * L) and not the (L+1)^2 of segment_images;
-    # one part needs no backward pass.
+    # at a time, so memory is O(n * L) and not the (L+1)^2 of every slice's
+    # image; one part needs no backward pass.
     ends = [[] for _ in range(n - 1)] + [[L]]
     for j in range(L, -1, -1) if n > 1 else ():
         row = _images_from(M, imgs, j)

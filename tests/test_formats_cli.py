@@ -739,6 +739,18 @@ def test_cli_memory_error_exits_2():
     assert proc.stderr == "error: out of memory\n"
 
 
+def test_cli_cut_count_too_long_to_print_exits_2():
+    # 1 + C(n, 2) tuples at an arity of 3000 digits: a 6000-digit count,
+    # which str() refuses; the error line bounds it instead of a traceback
+    proc = subprocess.run(
+        [sys.executable, "-m", "monoidkit.cli", "cut", "fixtures/Z2.mon",
+         "-n", "9" * 3000, "--map", "a=g", "aa", "--format", "machine"],
+        capture_output=True, text=True, cwd=ROOT, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRCDIR)})
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == ("error: cut profile of more than 10^5999 tuples "
+                           "exceeds cap of 100000\n")
+
 def test_cli_memory_error_while_writing_the_report_exits_2(monkeypatch, capsys):
     class Full:
         def write(self, text):

@@ -1,21 +1,26 @@
-"""Seeded fuzzing of the CLI's input files, term strings and part lists.
+"""Seeded fuzzing of the CLI's input files, term strings, part lists and
+arities.
 
 Each case mutates a shipped fixture (or a term, or a `lemma` or `replay`
 part list) and runs it through `cli_dispatch`.  Whatever the input, the
 exit code must be 0, 1 or 2, an exit 2 must come with exactly one `error:`
-line on stderr, and no exception may escape.  MONO_SEED pins the sample.
+line on stderr, and no exception may escape.  Huge arities run `mono` in
+a child process under a memory limit.  MONO_SEED pins the sample.
 """
 
 import os
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from monoidkit.cli import cli_dispatch
 
-FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXDIR = ROOT / "fixtures"
 
 # element, state and letter names of the fixtures, the formats' punctuation,
 # and characters that are digits to str.isdigit but not to int()
@@ -151,3 +156,38 @@ def test_mutated_inputs_keep_the_exit_code_contract(tmp_path, capsys):
             assert len(lines) == 1 and lines[0].startswith("error: "), (text, err)
         seen.add(code)
     assert {0, 2} <= seen
+
+
+def test_huge_arities_keep_the_exit_code_contract():
+    # cut and expand at arities of 1, 10^5, 10^10 and 3000 digits.  No
+    # letter has image 1, so a word of two letters or more has a sequence of
+    # as many parts and its profile is past the tuple cap at n >= 10^5.  The
+    # tuple cap does not bound the arity: expand at 10^5 spreads a profile
+    # of 10^5 tuples of 10^5 entries, so each run is a child under a 200 MB
+    # address-space limit, where that one exits 2 out of memory
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (200 << 20, 200 << 20))
+
+    rng = random.Random(int(os.environ.get("MONO_SEED", "0")))
+    seen = set()
+    for name, images in (("Z2", "a=g"), ("N3", "a=a,b=0"), ("flipflop", "a=s,b=r")):
+        letters = "".join(pair[0] for pair in images.split(","))
+        for n in (1, 10**5, 10**10, int("9" * 3000)):
+            word = "".join(rng.choices(letters, k=rng.randint(2, 6)))
+            mon = str(FIXDIR / f"{name}.mon")
+            for argv in (["cut", mon, "-n", str(n), "--map", images, word],
+                         ["expand", mon, "-n", str(n), "--gens", images]):
+                proc = subprocess.run(
+                    [sys.executable, "-m", "monoidkit.cli", *argv,
+                     "--format", "machine"],
+                    capture_output=True, text=True, preexec_fn=limit, timeout=60,
+                    env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+                case = (argv[0], name, len(str(n)), word, proc.stderr[-300:])
+                assert proc.returncode in (0, 2), case
+                if proc.returncode == 2:
+                    lines = proc.stderr.splitlines()
+                    assert len(lines) == 1 and lines[0].startswith("error: "), case
+                seen.add(proc.returncode)
+    assert seen == {0, 2}

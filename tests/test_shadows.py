@@ -2,6 +2,7 @@ import os
 import random
 import time
 from functools import cache, partial
+from itertools import product
 
 import pytest
 
@@ -301,6 +302,25 @@ def test_membership_verdict_consistency(fx):
                         assert verdict.hypothesis
                         assert not any(any(row) for row in verdict.membership)
 
+
+def test_membership_witness_is_the_least_ideal_then_element(fx):
+    # the witness is the least (j, i) with element i inside ideal j: the
+    # first ideal that holds an element, then its first element; on the
+    # fixtures that is not always the least (i, j)
+    texts = ("a", "b", "ab", "a^w")
+    orders = set()
+    for _, (M, g) in fx.items():
+        for terms in product(texts, repeat=5):
+            verdict = ideal_product_shadow(
+                M, g, [parse_term(t) for t in terms[:2]],
+                [[parse_term(t)] for t in terms[2:]])
+            held = [(j + 1, i + 1) for j in range(3) for i in range(2)
+                    if verdict.membership[i][j]]
+            least = min(held)[::-1] if verdict.hypothesis and held else None
+            assert verdict.witness == least, (terms, verdict)
+            if least is not None:
+                orders.add(least == min((i, j) for j, i in held))
+    assert orders == {True, False}
 
 def test_membership_preconditions():
     Mn = n3()

@@ -5,14 +5,14 @@ import random
 import sys
 import time
 import tracemalloc
-from itertools import accumulate, combinations_with_replacement, product
+from itertools import accumulate, product
 
 import pytest
 
 import monoidkit.words
 from monoidkit import (CapExceeded, CutProfile, FactorWitness, InputError, cut,
                        cut_brute, factorizations, generator_map, lemma_factor,
-                       match_factorization, segment_images, word_image)
+                       match_factorization, word_image)
 from monoidkit.catalog import z2
 from helpers import (all_words, check_factor_witness, cut_by_step_fold,
                      word_profile)
@@ -207,6 +207,47 @@ def test_cut_past_the_cap_stays_in_small_memory(fx):
     assert peak < 100_000_000
 
 
+# an arity of 3000 digits: C(n, 2) has 6000, past the 4300 digits that
+# int-to-str conversion allows by default
+HUGE_ARITY = int("9" * 3000)
+
+
+def test_cut_cap_message_bounds_a_count_too_long_to_print():
+    M = z2()
+    g = generator_map(M, {"a": 1})
+    with pytest.raises(CapExceeded) as exc:
+        cut(M, g, "aa", HUGE_ARITY)
+    assert exc.value.count == 1 + math.comb(HUGE_ARITY, 2)
+    assert str(exc.value) == ("cut profile of more than 10^5999 tuples "
+                              "exceeds cap of 100000")
+
+
+def test_cut_cap_message_prints_every_count_str_can():
+    # 4300 digits print in full; past them, the largest k with 10^k < count
+    for count, text in ((10**4300 - 1, "9" * 4300), (10**4300, "more than 10^4299"),
+                        (10**4300 + 1, "more than 10^4300"),
+                        (7 * 10**9000, "more than 10^9000")):
+        with pytest.raises(CapExceeded) as exc:
+            monoidkit.words._check_profile_size(count)
+        assert exc.value.count == count
+        assert str(exc.value) == f"cut profile of {text} tuples exceeds cap of 100000"
+
+
+def test_cut_counts_past_the_listing_at_a_huge_arity(fx, monkeypatch):
+    # the count on the DAG keeps one entry per sequence length, so a cap
+    # below the sequence count stops the listing at any arity with the
+    # step fold's exact count
+    M, g = fx["flipflop"]
+    monkeypatch.setattr(monoidkit.words, "MAX_PROFILE_TUPLES", 0)
+    for w in ("ab" * 6, "abba" * 3):
+        with pytest.raises(CapExceeded) as oracle:
+            cut_by_step_fold(M, g, w, HUGE_ARITY)
+        with pytest.raises(CapExceeded) as got:
+            cut(M, g, w, HUGE_ARITY)
+        assert got.value.count == oracle.value.count, w
+        assert str(got.value) == str(oracle.value), w
+
+
 # the benchmark's cut shapes: (fixture, arity, word length)
 LONG_CUTS = (("flipflop", 8, 120), ("flipflop", 8, 60), ("flipflop", 6, 200),
              ("n3", 7, 60), ("n3", 6, 120), ("n3", 5, 200),
@@ -349,17 +390,15 @@ def test_match_iff_in_profile(cat):
 
 def match_factorization_brute(M, g, w, targets):
     """The earlier match_factorization, kept as an oracle: it tries every
-    cut vector in lexicographic order, C(|w|+n-1, n-1) of them."""
+    cut vector in lexicographic order, C(|w|+n-1, n-1) of them, and
+    multiplies out each part's letters."""
     targets = tuple(targets)
     n = len(targets)
     if n < 1:
         raise InputError("need at least one target")
-    seg = segment_images(M, g, w)
-    L = len(w)
-    for cuts in combinations_with_replacement(range(L + 1), n - 1):
-        bounds = (0, *cuts, L)
-        if all(seg[bounds[k]][bounds[k + 1]] == targets[k] for k in range(n)):
-            return tuple(w[bounds[k]:bounds[k + 1]] for k in range(n))
+    for parts in factorizations(w, n):
+        if all(word_image(M, g, u) == t for u, t in zip(parts, targets)):
+            return parts
     return None
 
 
@@ -404,12 +443,3 @@ def test_match_factorization_memory_is_linear_in_the_word():
         tracemalloc.stop()
     assert got == ("a", "a" * 999)
     assert peak < 1_000_000
-
-
-def test_segment_images_are_the_images_of_every_slice(fx):
-    for M, g in fx.values():
-        for w in all_words("".join(g.alphabet), 4):
-            L = len(w)
-            assert segment_images(M, g, w) == [
-                [word_image(M, g, w[i:j]) if i <= j else M.identity
-                 for j in range(L + 1)] for i in range(L + 1)]
