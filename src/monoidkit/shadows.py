@@ -15,7 +15,8 @@ from .formats import _numeral
 from .monoid import (CapExceeded, FiniteMonoid, GeneratorMap, InputError,
                      Record, _cycle, _product, ideal_generated,
                      is_group_element)
-from .words import FactorWitness, cut, lemma_factor, match_factorization, word_image
+from .words import (FactorWitness, _SequenceDag, lemma_factor, match_factorization,
+                    word_image)
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -283,7 +284,8 @@ def replay_factorization(
 
     Precondition (checked): the two concatenations have equal cut profiles
     at arity n; ProfileMismatch is raised otherwise.  CapExceeded is raised,
-    before any work, when n*L^2 for the longer word exceeds MAX_REPLAY_WORK.
+    before any work, when n*L^2 for the longer word exceeds MAX_REPLAY_WORK,
+    and as by cut, u's before w's, when a profile is past its tuple cap.
     """
     us, ws = tuple(us), tuple(ws)
     m = len(us)
@@ -299,9 +301,10 @@ def replay_factorization(
     if n * L * L > MAX_REPLAY_WORK:
         raise CapExceeded(f"replay of {L} letters in {n} parts: n*L^2 exceeds "
                           f"cap of {MAX_REPLAY_WORK}", n * L * L)
-    pu = cut(M, g, u, n)
-    pw = pu if u == w else cut(M, g, w, n)
-    if pu != pw:
+    # one DAG numbers both sequence sets: equal sets are one node, and
+    # equal sets spread into equal profiles
+    dag = _SequenceDag(M, n)
+    if dag.fold(g, u) != dag.fold(g, w):
         raise ProfileMismatch(
             f"cut profiles at arity {n} differ between {u!r} and {w!r}")
     targets = tuple(word_image(M, g, part) for part in ws)

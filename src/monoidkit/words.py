@@ -6,7 +6,7 @@ allowed everywhere and evaluate to the identity.
 
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, zip_longest
 from math import comb
 from operator import itemgetter
 
@@ -18,6 +18,7 @@ if TYPE_CHECKING:
     from collections.abc import Collection, Iterable, Iterator, Sequence
 
 MAX_PROFILE_TUPLES = 100_000
+MAX_PROFILE_ENTRIES = 10**7     # about 80 MB of tuple pointers
 
 
 def factorizations(w: str, n: int) -> Iterator[tuple[str, ...]]:
@@ -100,9 +101,15 @@ def _spread(M: FiniteMonoid, n: int, seqs: Collection[tuple[int, ...]]) -> CutPr
 
     A placement of k parts is an itemgetter over the sequence with the
     identity appended at index k; each k's getters are built once per call
-    and shared by all its sequences of k parts."""
+    and shared by all its sequences of k parts.  CapExceeded past
+    MAX_PROFILE_TUPLES tuples and then past MAX_PROFILE_ENTRIES entries, n
+    to a tuple, before any is built."""
     lengths = [len(s) for s in seqs]    # one C(n, k) per length: n may be huge
-    _check_profile_size(sum(comb(n, k) * lengths.count(k) for k in set(lengths)))
+    size = sum(comb(n, k) * lengths.count(k) for k in set(lengths))
+    _check_profile_size(size)
+    if size * n > MAX_PROFILE_ENTRIES:
+        raise CapExceeded(f"cut profile of {size} tuples of {_decimal(n)} entries "
+                          f"exceeds cap of {MAX_PROFILE_ENTRIES} entries", size * n)
     pad = (M.identity,)
     if n == 1:  # itemgetter of one index returns an entry, not a tuple
         return CutProfile(1, tuple(sorted(s or pad for s in seqs)))
@@ -145,14 +152,17 @@ class _SequenceDag:
     p + (c,) in the set.  One table numbers the nodes, so equal sets are one
     integer and a child is numbered before its parent; node 0 is the empty
     set.  Union, truncation and the letter step are memoized on node
-    numbers.  A path is as long as its sequence, up to n, so every walk
-    keeps an explicit stack and none recurses."""
+    numbers.  Each node carries counts[i], its number of sequences of
+    each length 0, 1, ..., built from its children's when it is made, so a
+    set's size is read before any sequence is listed.  A path is as long
+    as its sequence, up to n, so every walk keeps an explicit stack and
+    none recurses."""
 
     def __init__(self, M: FiniteMonoid, n: int):
         self.table, self.identity, self.n = M.table, M.identity, n
         self.ids: dict[tuple, int] = {}
         self.nodes: list[tuple] = []
-        self.height: list[int] = []     # longest sequence; -1 when empty
+        self.counts: list[tuple[int, ...]] = []     # sequences by length
         self.unions: dict[tuple[int, int], int] = {}
         self.truncs: dict[tuple[int, int], int] = {}
         self.steps: dict[tuple[int, int], int] = {}
@@ -164,9 +174,9 @@ class _SequenceDag:
         if i is None:
             i = self.ids[key] = len(self.nodes)
             self.nodes.append(key)
-            height = self.height
-            height.append(max([0 if holds_empty else -1]
-                              + [height[p] + 1 for _, p in groups]))
+            counts = self.counts
+            counts.append((int(holds_empty), *map(sum, zip_longest(
+                *[counts[p] for _, p in groups], fillvalue=0))))
         return i
 
     def union(self, a: int, b: int) -> int:
@@ -203,8 +213,8 @@ class _SequenceDag:
 
     def truncate(self, a: int, k: int) -> int:
         """The node of a's sequences of length <= k."""
-        height, nodes, memo = self.height, self.nodes, self.truncs
-        if height[a] <= k:
+        counts, nodes, memo = self.counts, self.nodes, self.truncs
+        if len(counts[a]) <= k + 1:
             return a
         stack = [(a, k)]
         while stack:
@@ -216,7 +226,7 @@ class _SequenceDag:
             holds_empty, groups = nodes[b]
             kept, todo = [], []
             for c, p in groups if j else ():
-                if height[p] >= j:
+                if len(counts[p]) > j:
                     r = memo.get((p, j - 1))
                     if r is None:
                         todo.append((p, j - 1))
@@ -259,10 +269,7 @@ class _SequenceDag:
 
     def sequences(self, a: int) -> list[tuple[int, ...]]:
         """Every sequence of a, once each: a sequence is one path, read
-        from its last element, and its tuple is built once at the end.
-        Each sequence spreads into one tuple or more, so past
-        MAX_PROFILE_TUPLES sequences the listing stops and the profile's
-        tuples are counted for CapExceeded instead."""
+        from its last element, and its tuple is built once at the end."""
         nodes = self.nodes
         out, path = [], []
         stack = [(a, 0, None)]      # (node, length of path above it, its c)
@@ -274,31 +281,26 @@ class _SequenceDag:
             holds_empty, groups = nodes[b]
             if holds_empty:
                 out.append(tuple(reversed(path)))
-                if len(out) > MAX_PROFILE_TUPLES:
-                    _check_profile_size(self.tuple_count(a))
             stack += [(p, len(path), c) for c, p in groups]
         return out
 
     def tuple_count(self, a: int) -> int:
-        """How many n-tuples a's sequences spread into: sum of C(n, k) over
-        its sequences of k elements, counted by length on the nodes below a,
-        children (numbered first) before parents."""
-        nodes, height = self.nodes, self.height
-        below, stack = {a}, [a]
-        while stack:
-            for _, p in nodes[stack.pop()][1]:
-                if p not in below:
-                    below.add(p)
-                    stack.append(p)
-        by_length: dict[int, list[int]] = {}
-        for b in sorted(below):
-            holds_empty, groups = nodes[b]
-            counts = [int(holds_empty)] + [0] * height[b]
-            for _, p in groups:
-                for k, m in enumerate(by_length[p], 1):
-                    counts[k] += m
-            by_length[b] = counts
-        return sum(comb(self.n, k) * m for k, m in enumerate(by_length[a]))
+        """How many n-tuples a's sequences spread into: C(n, k) each for
+        its sequences of k elements."""
+        return sum(comb(self.n, k) * m for k, m in enumerate(self.counts[a]))
+
+    def fold(self, g: GeneratorMap, w: str) -> int:
+        """The node of w's non-identity part sequences: each letter of
+        image x != 1 steps the set, from the set of the empty sequence.
+        CapExceeded, before the node is returned, when they spread into
+        more than MAX_PROFILE_TUPLES tuples."""
+        s = self.node(True, ())
+        for ch in w:
+            x = g.image(ch)
+            if x != self.identity:
+                s = self.step(s, x)
+        _check_profile_size(self.tuple_count(s))
+        return s
 
 
 def cut(M: FiniteMonoid, g: GeneratorMap, w: str, n: int) -> CutProfile:
@@ -306,18 +308,15 @@ def cut(M: FiniteMonoid, g: GeneratorMap, w: str, n: int) -> CutProfile:
 
     The set S of sequences is folded over w on a _SequenceDag made for this
     call, so a sub-set that comes back along the word is stepped once; a
-    letter of image 1 leaves S as it is.  build_expansion keeps the set
-    step _step instead: it spreads and stores every state it finds, so the
-    DAG would save it nothing and its node table would slow it."""
+    letter of image 1 leaves S as it is.  The fold counts the profile's
+    tuples on S's node, so a profile past the cap is never listed.
+    build_expansion keeps the set step _step instead: it spreads and
+    stores every state it finds, so the DAG would save it nothing and its
+    node table would slow it."""
     if n < 1:
         raise InputError("arity must be >= 1")
     dag = _SequenceDag(M, n)
-    s = dag.node(True, ())
-    for ch in w:
-        x = g.image(ch)
-        if x != M.identity:
-            s = dag.step(s, x)
-    seqs = dag.sequences(s)
+    seqs = dag.sequences(dag.fold(g, w))
     del dag
     return _spread(M, n, seqs)
 

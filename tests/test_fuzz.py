@@ -159,12 +159,13 @@ def test_mutated_inputs_keep_the_exit_code_contract(tmp_path, capsys):
 
 
 def test_huge_arities_keep_the_exit_code_contract():
-    # cut and expand at arities of 1, 10^5, 10^10 and 3000 digits.  No
-    # letter has image 1, so a word of two letters or more has a sequence of
-    # as many parts and its profile is past the tuple cap at n >= 10^5.  The
-    # tuple cap does not bound the arity: expand at 10^5 spreads a profile
-    # of 10^5 tuples of 10^5 entries, so each run is a child under a 200 MB
-    # address-space limit, where that one exits 2 out of memory
+    # cut and expand at arities of 1, 10^5, 10^10 and 3000 digits.  Each map
+    # sends its last letter to 1, and one word per arity is that letter
+    # alone: its profile is one tuple of n entries, which passes the tuple
+    # cap and stops at the entries cap.  A word with a letter of image
+    # other than 1 has a sequence of one part or more, and its profile is
+    # past the tuple cap at n >= 10^5.  Each run is a child under a 200 MB
+    # address-space limit, and none of them may run out of memory
     resource = pytest.importorskip("resource")
 
     def limit():
@@ -172,22 +173,26 @@ def test_huge_arities_keep_the_exit_code_contract():
 
     rng = random.Random(int(os.environ.get("MONO_SEED", "0")))
     seen = set()
-    for name, images in (("Z2", "a=g"), ("N3", "a=a,b=0"), ("flipflop", "a=s,b=r")):
+    for name, images in (("Z2", "a=g,b=1"), ("N3", "a=a,b=0,c=1"),
+                         ("flipflop", "a=s,b=r,c=1")):
         letters = "".join(pair[0] for pair in images.split(","))
         for n in (1, 10**5, 10**10, int("9" * 3000)):
-            word = "".join(rng.choices(letters, k=rng.randint(2, 6)))
             mon = str(FIXDIR / f"{name}.mon")
-            for argv in (["cut", mon, "-n", str(n), "--map", images, word],
+            words = ("".join(rng.choices(letters, k=rng.randint(2, 6))),
+                     letters[-1] * rng.randint(1, 3))
+            for argv in (*(["cut", mon, "-n", str(n), "--map", images, word]
+                           for word in words),
                          ["expand", mon, "-n", str(n), "--gens", images]):
                 proc = subprocess.run(
                     [sys.executable, "-m", "monoidkit.cli", *argv,
                      "--format", "machine"],
                     capture_output=True, text=True, preexec_fn=limit, timeout=60,
                     env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
-                case = (argv[0], name, len(str(n)), word, proc.stderr[-300:])
+                case = (argv[0], name, len(str(n)), argv[-1], proc.stderr[-300:])
                 assert proc.returncode in (0, 2), case
                 if proc.returncode == 2:
                     lines = proc.stderr.splitlines()
                     assert len(lines) == 1 and lines[0].startswith("error: "), case
+                    assert n < 10**5 or lines[0] != "error: out of memory", case
                 seen.add(proc.returncode)
     assert seen == {0, 2}

@@ -8,7 +8,7 @@ import pytest
 
 from monoidkit import (CapExceeded, Concat, InputError, Letter, OmegaPower,
                        Power, ProfileMismatch, StabilitySweep, build_expansion,
-                       evaluate, generate_from_transformations, generator_map,
+                       cut, evaluate, generate_from_transformations, generator_map,
                        group_element_shadow, ideal_generated,
                        ideal_product_shadow, is_group_element, parse_term,
                        replay_factorization, term_text, word_image)
@@ -383,8 +383,8 @@ def test_replay_preconditions():
 
 
 def test_replay_word_length_cap():
-    # n*L^2 is checked before cut and the match, so an over-cap replay stops
-    # at once; the longer of the two words counts
+    # n*L^2 is checked before the fold and the match, so an over-cap replay
+    # stops at once; the longer of the two words counts
     M = z2()
     g = generator_map(M, {"a": 1})
     L = 7071                          # the longest a^L in 2 parts under the cap
@@ -396,6 +396,31 @@ def test_replay_word_length_cap():
             replay_factorization(M, g, 2, us, ws)
         assert exc.value.count == 2 * (L + 1) ** 2
     assert time.perf_counter() - t0 < 0.5
+
+
+def test_replay_profile_cap_names_the_first_word_past_it(monkeypatch):
+    # replay compares the two folded nodes and spreads neither profile; a
+    # profile past the cap raises cut's line, u's before w's
+    M = flipflop()
+    g = generator_map(M, {"a": M.element("s"), "b": M.element("r")})
+    u, v, small = ("ab" * 150,), ("b" * 300,) + ("",) * 29, ("a",)
+    lines = {}
+    for parts in (u, v):
+        with pytest.raises(CapExceeded) as exc:
+            cut(M, g, "".join(parts), 30)
+        lines[parts] = str(exc.value)
+    assert lines[u] != lines[v]
+
+    def unreachable(*args):
+        raise AssertionError("replay spread a profile")
+
+    monkeypatch.setattr("monoidkit.words._spread", unreachable)
+    for us, ws, parts in ((u, v, u), (small, v, v), (u, ("",) * 29 + u, u)):
+        with pytest.raises(CapExceeded) as exc:
+            replay_factorization(M, g, 30, us, ws)
+        assert str(exc.value) == lines[parts], (us, ws)
+    result = replay_factorization(M, g, 3, ("ab",), ("a", "", "b"))
+    assert result.parts == ("a", "", "b")
 
 
 def test_replay_small_sweep(cat):

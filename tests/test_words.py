@@ -5,14 +5,15 @@ import random
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from itertools import accumulate, product
 
 import pytest
 
 import monoidkit.words
-from monoidkit import (CapExceeded, CutProfile, FactorWitness, InputError, cut,
-                       cut_brute, factorizations, generator_map, lemma_factor,
-                       match_factorization, word_image)
+from monoidkit import (CapExceeded, CutProfile, FactorWitness, InputError,
+                       build_expansion, cut, cut_brute, factorizations,
+                       generator_map, lemma_factor, match_factorization, word_image)
 from monoidkit.catalog import z2
 from helpers import (all_words, check_factor_witness, cut_by_step_fold,
                      word_profile)
@@ -166,8 +167,8 @@ def test_cut_profile_size_cap(fx, monkeypatch):
 
 
 def test_cut_stops_listing_sequences_past_the_cap(fx, monkeypatch):
-    # a cap below the number of sequences stops the listing before any
-    # tuple is spread: the same error line and count as the step fold,
+    # a cap below the number of sequences is read off the folded node, so
+    # no tuple is spread: the same error line and count as the step fold,
     # which spreads every sequence; MONO_SEED pins the words
     rng = random.Random(int(os.environ.get("MONO_SEED", "0")))
 
@@ -191,8 +192,8 @@ def test_cut_stops_listing_sequences_past_the_cap(fx, monkeypatch):
 
 
 def test_cut_past_the_cap_stays_in_small_memory(fx):
-    # (ab)^150 at n = 30 has more than a billion sequences; the listing
-    # stops at the cap and the tuples are counted on the DAG
+    # (ab)^150 at n = 30 has more than a billion sequences; the fold
+    # counts their tuples on the DAG node and lists none of them
     M, g = fx["flipflop"]
     tracemalloc.start()
     try:
@@ -207,9 +208,65 @@ def test_cut_past_the_cap_stays_in_small_memory(fx):
     assert peak < 100_000_000
 
 
+def test_cut_counts_the_profile_before_listing_it(fx, monkeypatch):
+    # a billion sequences and the CI's 1800-letter B21 word at n = 12: the
+    # cap is checked on the folded node, and no sequence is listed
+    def unlisted(self, a):
+        raise AssertionError("a profile past the cap was listed")
+
+    monkeypatch.setattr(monoidkit.words._SequenceDag, "sequences", unlisted)
+    for name, n, w, count in (("flipflop", 30, "ab" * 150, 102945566047324),
+                              ("b21", 12, "aab" * 300 + "bba" * 300, 63782592)):
+        M, g = fx[name]
+        with pytest.raises(CapExceeded) as exc:
+            cut(M, g, w, n)
+        assert exc.value.count == count, name
+        assert str(exc.value) == f"cut profile of {count} tuples exceeds cap of 100000"
+
+
+def test_node_counts_tally_the_sequences(fx):
+    # every node the folds make, the transient ones too: its counts are
+    # its sequences by length, up to its longest
+    for name, (M, g) in fx.items():
+        letters = "".join(sorted(g.alphabet))
+        for n in range(1, 7):
+            dag = monoidkit.words._SequenceDag(M, n)
+            for w in all_words(letters, 8):
+                dag.fold(g, w)
+            for a, counts in enumerate(dag.counts):
+                tally = Counter(map(len, dag.sequences(a)))
+                expected = tuple(tally[k] for k in range(max(tally, default=0) + 1))
+                assert counts == expected, (name, n, a)
+
+
 # an arity of 3000 digits: C(n, 2) has 6000, past the 4300 digits that
 # int-to-str conversion allows by default
 HUGE_ARITY = int("9" * 3000)
+
+
+def test_profile_entries_cap_stops_a_huge_arity(monkeypatch):
+    # a word of image 1 has one tuple, the identity n times, and expand at
+    # n = 10^5 meets 10^5 tuples of 10^5 entries: each passes the tuple
+    # cap and stops at the entries cap before any tuple is built
+    M = z2()
+    g = generator_map(M, {"a": 1, "b": 0})
+    with pytest.raises(CapExceeded) as exc:
+        cut(M, g, "bb", HUGE_ARITY)
+    assert exc.value.count == HUGE_ARITY
+    assert str(exc.value) == (f"cut profile of 1 tuples of {HUGE_ARITY} entries "
+                              "exceeds cap of 10000000 entries")
+    with pytest.raises(CapExceeded) as exc:
+        build_expansion(M, generator_map(M, {"a": 1}), 10**5)
+    assert exc.value.count == 10**10
+    assert str(exc.value) == ("cut profile of 100000 tuples of 100000 entries "
+                              "exceeds cap of 10000000 entries")
+    # the bound is inclusive: "a" at n = 5 spreads into 5 tuples of 5
+    monkeypatch.setattr(monoidkit.words, "MAX_PROFILE_ENTRIES", 25)
+    assert len(cut(M, g, "a", 5).tuples) == 5
+    monkeypatch.setattr(monoidkit.words, "MAX_PROFILE_ENTRIES", 24)
+    with pytest.raises(CapExceeded) as exc:
+        cut(M, g, "a", 5)
+    assert exc.value.count == 25
 
 
 def test_cut_cap_message_bounds_a_count_too_long_to_print():
@@ -234,9 +291,9 @@ def test_cut_cap_message_prints_every_count_str_can():
 
 
 def test_cut_counts_past_the_listing_at_a_huge_arity(fx, monkeypatch):
-    # the count on the DAG keeps one entry per sequence length, so a cap
-    # below the sequence count stops the listing at any arity with the
-    # step fold's exact count
+    # a node's counts keep one entry per sequence length, so a cap below
+    # the sequence count is found at any arity with the step fold's exact
+    # count
     M, g = fx["flipflop"]
     monkeypatch.setattr(monoidkit.words, "MAX_PROFILE_TUPLES", 0)
     for w in ("ab" * 6, "abba" * 3):
