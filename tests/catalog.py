@@ -1,9 +1,9 @@
-"""Built-in small monoids used by the test bench and the documentation."""
+"""Built-in small monoids used by the test bench."""
 
 from __future__ import annotations
 
-from .monoid import (FiniteMonoid, GeneratorMap, generate_from_transformations,
-                     generator_map)
+from monoidkit.monoid import (FiniteMonoid, GeneratorMap,
+                              generate_from_transformations, generator_map)
 
 
 def trivial() -> FiniteMonoid:

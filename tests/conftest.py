@@ -1,6 +1,6 @@
 import pytest
 
-from monoidkit.catalog import catalog, fixtures
+from catalog import catalog, fixtures
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,11 @@
-"""Shared test utilities: word enumeration, the factor-witness check and
-the earlier algorithms kept as oracles."""
+"""Shared test utilities: word enumeration, the factor-witness check,
+`mono` in a child process and the earlier algorithms kept as oracles."""
 
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 from monoidkit.expansion import profile_product
 from monoidkit.monoid import InputError
@@ -13,6 +17,29 @@ T3_GENS = {"c": (1, 2, 0), "t": (1, 0, 2), "e": (0, 0, 2)}
 T4_GENS = {"c": (1, 2, 3, 0), "t": (1, 0, 2, 3), "k": (0, 0, 2, 3)}
 # a: 2 3 1 2, b: 4 2 1 2 in .tgen numbering; a 52-element monoid
 M52_GENS = {"a": (1, 2, 0, 1), "b": (3, 1, 0, 1)}
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_mono(argv, *, timeout=None, mem_kb=None, env=(), **kwargs):
+    """`python -m monoidkit.cli *argv` in a child, from the repository root
+    with PYTHONPATH=src and `env` added to the environment.  As a shell's
+    `timeout` and `ulimit -v` would, `timeout` kills the child after that
+    many seconds (raising TimeoutExpired) and `mem_kb` limits its address
+    space to that many KiB; both act on the child only.  Both streams are
+    captured unless `kwargs` redirect them."""
+    limit = None
+    if mem_kb is not None:
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (mem_kb * 1024,) * 2)
+
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
+    return subprocess.run(
+        [sys.executable, "-m", "monoidkit.cli", *argv],
+        **{**streams, **kwargs}, timeout=timeout, preexec_fn=limit, cwd=ROOT,
+        env={**os.environ, **dict(env), "PYTHONPATH": str(ROOT / "src")})
 
 
 def all_words(alphabet="ab", max_len=6):

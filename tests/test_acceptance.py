@@ -14,9 +14,9 @@ from monoidkit import (build_expansion, check_eta_aperiodic, check_refinement,
                        lemma_factor, minimal_ideal, parse_term,
                        replay_factorization, word_image,
                        ideal_product_shadow, group_element_shadow)
-from monoidkit.catalog import catalog, fixtures, n3, z2
 from monoidkit.cli import cli_dispatch
 
+from catalog import catalog, fixtures, n3, z2
 from helpers import (all_words, check_factor_witness, cut_by_step_fold,
                      ideal_product, word_profile)
 

@@ -10,11 +10,11 @@ from monoidkit import (CapExceeded, CutProfile, InputError, build_expansion,
                        check_eta_aperiodic, check_refinement, cut,
                        generator_map, is_aperiodic, load_table,
                        profile_product, word_image)
-from monoidkit.catalog import flipflop, n3, t2, trivial, z2, z3
 from monoidkit.cli import _expansion_sidecar
 from monoidkit.expansion import DEFAULT_PROFILE_CAP, ExpandedMonoid
 from monoidkit.monoid import configured_cap
 from monoidkit.words import _spread, _squeeze, _step
+from catalog import flipflop, n3, t2, trivial, z2, z3
 from helpers import (all_words, check_eta_aperiodic_by_omega,
                      identity_profile, letter_profile, profile_index,
                      word_profile)

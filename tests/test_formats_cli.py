@@ -14,9 +14,10 @@ import pytest
 
 from monoidkit import (InputError, build_expansion, dfa_to_transition_monoid,
                        load_table, parse_dfa, parse_tgen, serialize_monoid)
-from monoidkit.catalog import b21, fixtures, flipflop, n3, t2, trivial, z2, z3
 from monoidkit.cli import (_COMMANDS, _build_parser, _digest, _parse_plain,
                            cli_dispatch)
+from catalog import b21, fixtures, flipflop, n3, t2, trivial, z2, z3
+from helpers import run_mono
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXDIR = ROOT / "fixtures"
@@ -174,15 +175,10 @@ def test_cli_info_n3_golden(capsys):
 
 
 def test_python_m_runs_the_cli():
-    def python_m(*argv):
-        return subprocess.run(
-            [sys.executable, "-m", "monoidkit.cli", *argv], capture_output=True,
-            env={**os.environ, "PYTHONPATH": str(SRCDIR)}, cwd=FIXDIR.parent)
-
-    proc = python_m("info", "fixtures/N3.mon", "--format", "machine")
+    proc = run_mono(["info", "fixtures/N3.mon", "--format", "machine"])
     assert proc.returncode == 0
     assert proc.stdout == n3_info_golden().encode()
-    proc = python_m("nonsense")
+    proc = run_mono(["nonsense"])
     assert proc.returncode == 2 and b"invalid choice: 'nonsense'" in proc.stderr
 
 
@@ -269,11 +265,8 @@ def test_cli_lemma_golden(capsys):
 def test_cli_lemma_digests_non_utf8_argv_bytes():
     # argv bytes reach the CLI as lone surrogates; the digest is of the bytes,
     # and the report, echoing them as \xNN, encodes on a strict UTF-8 stdout
-    proc = subprocess.run(
-        [sys.executable, "-m", "monoidkit.cli", "lemma", "--u", b"\xff",
-         "--v", b"\xff", "--format", "machine"], capture_output=True,
-        env={**os.environ, "PYTHONPATH": str(SRCDIR),
-             "PYTHONIOENCODING": "utf-8:strict"})
+    proc = run_mono(["lemma", "--u", b"\xff", "--v", b"\xff", "--format", "machine"],
+                    env={"PYTHONIOENCODING": "utf-8:strict"})
     assert proc.returncode == 0 and proc.stderr == b""
     d = hashlib.sha256(b"\xff|\xff").hexdigest()[:12]
     assert f"input={d}\n".encode() in proc.stdout
@@ -622,9 +615,7 @@ def test_digest_falls_back_to_hashlib():
 
 def test_cli_help_and_usage_errors_come_from_argparse():
     def mono(*argv):
-        return subprocess.run(
-            [sys.executable, "-m", "monoidkit.cli", *argv], capture_output=True,
-            text=True, env={**os.environ, "PYTHONPATH": str(SRCDIR), "COLUMNS": "80"})
+        return run_mono(argv, text=True, env={"COLUMNS": "80"})
 
     usage = "usage: mono info [-h] [--format {human,machine}] file\n"
     proc = mono("info", "--help")
@@ -725,16 +716,9 @@ def test_cli_machine_output_is_reproducible(capsys):
 def test_cli_memory_error_exits_2():
     # an expansion that peaks near 290 MB, under a 100 MB address-space limit
     # set in the child only; MemoryError is one error line and exit 2
-    resource = pytest.importorskip("resource")
-
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (100 << 20, 100 << 20))
-
-    proc = subprocess.run(
-        [sys.executable, "-m", "monoidkit.cli", "expand", "fixtures/flipflop.mon",
-         "-n", "6", "--gens", "a=s,b=r", "--format", "machine"],
-        capture_output=True, text=True, preexec_fn=limit, cwd=ROOT,
-        env={**os.environ, "PYTHONPATH": str(SRCDIR)})
+    pytest.importorskip("resource")
+    proc = run_mono(["expand", "fixtures/flipflop.mon", "-n", "6", "--gens",
+                     "a=s,b=r", "--format", "machine"], mem_kb=100 << 10, text=True)
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == "error: out of memory\n"
 
@@ -742,11 +726,8 @@ def test_cli_memory_error_exits_2():
 def test_cli_cut_count_too_long_to_print_exits_2():
     # 1 + C(n, 2) tuples at an arity of 3000 digits: a 6000-digit count,
     # which str() refuses; the error line bounds it instead of a traceback
-    proc = subprocess.run(
-        [sys.executable, "-m", "monoidkit.cli", "cut", "fixtures/Z2.mon",
-         "-n", "9" * 3000, "--map", "a=g", "aa", "--format", "machine"],
-        capture_output=True, text=True, cwd=ROOT, timeout=60,
-        env={**os.environ, "PYTHONPATH": str(SRCDIR)})
+    proc = run_mono(["cut", "fixtures/Z2.mon", "-n", "9" * 3000, "--map", "a=g",
+                     "aa", "--format", "machine"], timeout=60, text=True)
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == ("error: cut profile of more than 10^5999 tuples "
                            "exceeds cap of 100000\n")

@@ -11,13 +11,12 @@ a child process under a memory limit.  MONO_SEED pins the sample.
 import os
 import random
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
 from monoidkit.cli import cli_dispatch
+from helpers import run_mono
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXDIR = ROOT / "fixtures"
@@ -166,11 +165,7 @@ def test_huge_arities_keep_the_exit_code_contract():
     # other than 1 has a sequence of one part or more, and its profile is
     # past the tuple cap at n >= 10^5.  Each run is a child under a 200 MB
     # address-space limit, and none of them may run out of memory
-    resource = pytest.importorskip("resource")
-
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (200 << 20, 200 << 20))
-
+    pytest.importorskip("resource")
     rng = random.Random(int(os.environ.get("MONO_SEED", "0")))
     seen = set()
     for name, images in (("Z2", "a=g,b=1"), ("N3", "a=a,b=0,c=1"),
@@ -183,11 +178,8 @@ def test_huge_arities_keep_the_exit_code_contract():
             for argv in (*(["cut", mon, "-n", str(n), "--map", images, word]
                            for word in words),
                          ["expand", mon, "-n", str(n), "--gens", images]):
-                proc = subprocess.run(
-                    [sys.executable, "-m", "monoidkit.cli", *argv,
-                     "--format", "machine"],
-                    capture_output=True, text=True, preexec_fn=limit, timeout=60,
-                    env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+                proc = run_mono([*argv, "--format", "machine"], mem_kb=200 << 10,
+                                timeout=60, text=True)
                 case = (argv[0], name, len(str(n)), argv[-1], proc.stderr[-300:])
                 assert proc.returncode in (0, 2), case
                 if proc.returncode == 2:

@@ -5,7 +5,7 @@ import pytest
 from monoidkit import (InputError, generate_from_transformations,
                        ideal_generated, is_ideal, is_idempotent_ideal,
                        is_prime_ideal, is_regular, minimal_ideal)
-from monoidkit.catalog import flipflop, n3, z2
+from catalog import flipflop, n3, z2
 from helpers import T4_GENS, ideal_product
 
 

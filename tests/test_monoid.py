@@ -16,12 +16,11 @@ from monoidkit import (CapExceeded, GeneratorMap, InputError, Letter,
                        is_group_element, is_ideal, is_idempotent_ideal,
                        is_prime_ideal, is_regular, load_table, parse_dfa,
                        parse_tgen)
-from monoidkit.catalog import (b21, catalog, fixtures, flipflop, n3, t2, trivial,
-                               z2, z3)
 from monoidkit.cli import cli_dispatch
 from monoidkit.monoid import (DEFAULT_ELEMENT_CAP, FiniteMonoid, GreensData,
                               _check_name, _classify, _first_violation,
                               _greedy_generators, _product, configured_cap)
+from catalog import b21, catalog, fixtures, flipflop, n3, t2, trivial, z2, z3
 from helpers import (M52_GENS, T3_GENS, T4_GENS, greedy_generators_by_scan,
                      ideal_product, is_aperiodic_by_omega, omega_power_by_search,
                      power_by_squaring)

@@ -9,8 +9,8 @@ import pytest
 from monoidkit import (CutProfile, FactorWitness, FiniteMonoid, Letter,
                        OmegaPower, Power, build_expansion, cut, generator_map,
                        lemma_factor)
-from monoidkit.catalog import z2
 from monoidkit.monoid import Record
+from catalog import z2
 
 
 def test_records_are_equal_by_class_and_values():

@@ -13,9 +13,9 @@ from monoidkit import (CapExceeded, Concat, InputError, Letter, OmegaPower,
                        ideal_product_shadow, is_group_element, parse_term,
                        replay_factorization, term_text, word_image)
 from monoidkit import shadows
-from monoidkit.catalog import flipflop, n3, t2, z2
 from monoidkit.monoid import FiniteMonoid
 from monoidkit.shadows import MAX_REPLAY_WORK, MAX_TERM_DEPTH
+from catalog import flipflop, n3, t2, z2
 from helpers import (M52_GENS, T3_GENS, T4_GENS, all_words,
                      check_factor_witness)
 

@@ -14,7 +14,7 @@ import monoidkit.words
 from monoidkit import (CapExceeded, CutProfile, FactorWitness, InputError,
                        build_expansion, cut, cut_brute, factorizations,
                        generator_map, lemma_factor, match_factorization, word_image)
-from monoidkit.catalog import z2
+from catalog import z2
 from helpers import (all_words, check_factor_witness, cut_by_step_fold,
                      word_profile)
 
