@@ -527,6 +527,11 @@ def _emit(stream, name: str, lines) -> str | None:
 
 
 def main() -> None:
+    # UTF-8 whatever the locale or PYTHONIOENCODING; a None stream is a
+    # closed descriptor, which _emit reports
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.reconfigure(encoding="utf-8", errors=stream.errors)
     sys.exit(cli_dispatch(sys.argv[1:]))
 
 

@@ -42,10 +42,10 @@ class OmegaPower(Record):
 
 OmegaTerm = Letter | Concat | Power | OmegaPower
 
-# Parentheses nest at most this deep.  Each level costs the parser three
-# stack frames (expr, factor, atom), evaluate at most three (itself, the
-# generator of a concatenation's parts and `_product`) and term_text one,
-# so this stays far below the interpreter's recursion limit.
+# Parentheses nest at most this deep.  The parser keeps its levels in a
+# list and costs no frames; each level costs evaluate at most three (itself,
+# the generator of a concatenation's parts and `_product`) and term_text
+# one, so this stays far below the interpreter's recursion limit.
 MAX_TERM_DEPTH = 100
 
 # replay's factorization match costs O(n*L^2) for a word of length L in n
@@ -53,85 +53,64 @@ MAX_TERM_DEPTH = 100
 MAX_REPLAY_WORK = 10**8
 
 
-class _Parser:
-    """Recursive descent for: expr := factor+; factor := atom ['^' (int|'w')];
-    atom := letter | '(' expr ')'.  Whitespace is ignored between tokens."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.depth = 0
-
-    def error(self, msg: str):
-        raise InputError(f"term syntax error at position {self.pos}: {msg}")
-
-    def peek(self) -> str | None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        return self.text[self.pos] if self.pos < len(self.text) else None
-
-    def parse(self) -> OmegaTerm:
-        t = self.expr()
-        if self.peek() is not None:
-            self.error(f"unexpected {self.text[self.pos]!r}")
-        return t
-
-    def expr(self) -> OmegaTerm:
-        parts = [self.factor()]
-        while True:
-            ch = self.peek()
-            if ch is None or ch == ")":
-                break
-            parts.append(self.factor())
-        return parts[0] if len(parts) == 1 else Concat(tuple(parts))
-
-    def factor(self) -> OmegaTerm:
-        a = self.atom()
-        if self.peek() == "^":
-            self.pos += 1
-            ch = self.peek()
-            if ch == "w":
-                self.pos += 1
-                return OmegaPower(a)
-            if ch is None or not ch.isdecimal():
-                self.error("expected an integer or w after ^")
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdecimal():
-                self.pos += 1
-            k = _numeral(self.text[start:self.pos])
-            if k < 1:
-                self.pos = start
-                self.error("exponent must be at least 1")
-            if k == math.inf:
-                self.pos = start
-                self.error("exponent has too many digits")
-            return Power(a, k)
-        return a
-
-    def atom(self) -> OmegaTerm:
-        ch = self.peek()
-        if ch is None:
-            self.error("unexpected end of input")
-        if ch == "(":
-            if self.depth == MAX_TERM_DEPTH:
-                self.error(f"parentheses nested deeper than {MAX_TERM_DEPTH}")
-            self.depth += 1
-            self.pos += 1
-            t = self.expr()
-            if self.peek() != ")":
-                self.error("expected )")
-            self.pos += 1
-            self.depth -= 1
-            return t
-        if ch in ")^" or ch.isdecimal():
-            self.error(f"unexpected {ch!r}")
-        self.pos += 1
-        return Letter(ch)
-
-
 def parse_term(text: str) -> OmegaTerm:
-    """Parse an omega term; 'w' after '^' denotes the omega power."""
-    return _Parser(text).parse()
+    """Parse an omega term; 'w' after '^' denotes the omega power.
+
+    The grammar is expr := factor+; factor := atom ['^' (int|'w')];
+    atom := letter | '(' expr ')', with whitespace ignored between tokens.
+    One pass from the left: `levels` holds the factors read so far in the
+    whole term and in each open parenthesis, innermost last, and a '^'
+    applies to the last factor when that is a letter or a closed group."""
+    levels: list[list[OmegaTerm]] = [[]]
+    bare = False  # the last factor is a letter or a closed group
+    pos = 0
+    while True:
+        while pos < len(text) and text[pos].isspace():
+            pos += 1
+        factors = levels[-1]
+        ch = text[pos] if pos < len(text) else None
+        if ch == "^" and bare:
+            pos += 1
+            while pos < len(text) and text[pos].isspace():
+                pos += 1
+            start = pos
+            if text.startswith("w", pos):
+                pos += 1
+                factors[-1] = OmegaPower(factors[-1])
+            else:
+                while pos < len(text) and text[pos].isdecimal():
+                    pos += 1
+                k = _numeral(text[start:pos])
+                if not 1 <= k < math.inf:
+                    msg = ("expected an integer or w after ^" if pos == start
+                           else "exponent must be at least 1" if k < 1
+                           else "exponent has too many digits")
+                    pos = start
+                    break
+                factors[-1] = Power(factors[-1], k)
+            bare = False
+            continue
+        if ch is None:
+            if factors and len(levels) == 1:
+                return factors[0] if len(factors) == 1 else Concat(tuple(factors))
+            msg = "expected )" if factors else "unexpected end of input"
+            break
+        if ch == ")" and factors and len(levels) > 1:
+            levels.pop()
+            levels[-1].append(factors[0] if len(factors) == 1 else Concat(tuple(factors)))
+        elif ch == "(":
+            if len(levels) > MAX_TERM_DEPTH:
+                msg = f"parentheses nested deeper than {MAX_TERM_DEPTH}"
+                break
+            levels.append([])
+        elif ch in ")^" or ch.isdecimal():
+            msg = f"unexpected {ch!r}"
+            break
+        else:
+            factors.append(Letter(ch))
+        bare = ch != "("
+        pos += 1
+    raise InputError(f"term syntax error at position {pos}: {msg}")
 
 
 def term_text(t: OmegaTerm) -> str:

@@ -6,7 +6,7 @@ allowed everywhere and evaluate to the identity.
 
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement, zip_longest
+from itertools import accumulate, combinations, combinations_with_replacement, zip_longest
 from math import comb
 from operator import itemgetter
 
@@ -374,10 +374,11 @@ def lemma_factor(us: Sequence[str], vs: Sequence[str]) -> FactorWitness:
     locate some v_j inside some u_i.
 
     Constructive and deterministic: an empty v part wins immediately
-    (least j, then i = 1); otherwise map each v part to the non-empty u
-    part holding its last letter.  The map is monotone, so either two
-    consecutive v parts share a u part (v_j sits inside it, aligned) or
-    the map is a bijection and v_1 is a prefix of the first non-empty u.
+    (least j, then i = 1); otherwise each v part lies under the u part
+    holding its last letter, found among the u parts' end offsets.  That
+    part never moves left, so either two consecutive v parts share a u part
+    (v_j sits inside it, aligned) or each v part has a u part of its own.
+    Then m = n, every u part ends where its v part does, and v_1 = u_1.
     """
     us = tuple(us)
     vs = tuple(vs)
@@ -386,33 +387,16 @@ def lemma_factor(us: Sequence[str], vs: Sequence[str]) -> FactorWitness:
         raise InputError("need at least one part")
     if m > n:
         raise InputError(f"first factorization has more parts ({m} > {n})")
-    w = "".join(us)
-    if "".join(vs) != w:
+    if "".join(vs) != "".join(us):
         raise InputError("factorizations concatenate to different words")
-    for j, v in enumerate(vs):
-        if not v:
-            return FactorWitness(1, j + 1, 0)
-    spans = []  # (original index, start, end) of the non-empty u parts
-    pos = 0
-    for i, u in enumerate(us):
-        if u:
-            spans.append((i, pos, pos + len(u)))
-        pos += len(u)
-    f = []  # for each v part, the span holding its last letter
-    k = 0
-    pos = 0
-    for v in vs:
-        last = pos + len(v) - 1
-        while spans[k][2] <= last:
-            k += 1
-        f.append(k)
-        pos += len(v)
-    vstart = 0
-    for j in range(1, n):
-        vstart += len(vs[j - 1])
-        if f[j - 1] == f[j]:
-            orig, start, _end = spans[f[j]]
-            return FactorWitness(orig + 1, j + 1, vstart - start)
-    # f injective: it is a monotone bijection, and v_1 is a position-aligned
-    # prefix of the first non-empty u part (which starts at 0)
-    return FactorWitness(spans[0][0] + 1, 1, 0)
+    if "" in vs:
+        return FactorWitness(1, vs.index("") + 1, 0)
+    ends = list(accumulate(map(len, us)))
+    i, held, vstart = 0, None, 0
+    for j, vend in enumerate(accumulate(map(len, vs))):
+        while ends[i] < vend:  # to the u part holding v_j's last letter
+            i += 1
+        if i == held:
+            return FactorWitness(i + 1, j + 1, vstart - ends[i] + len(us[i]))
+        held, vstart = i, vend
+    return FactorWitness(1, 1, 0)

@@ -1,15 +1,21 @@
 """Shared test utilities: word enumeration, the factor-witness check,
 `mono` in a child process and the earlier algorithms kept as oracles."""
 
+import math
 import os
 import subprocess
 import sys
+from collections.abc import Sequence
+from contextlib import contextmanager
 from itertools import product
 from pathlib import Path
 
 from monoidkit.expansion import profile_product
+from monoidkit.formats import _numeral
 from monoidkit.monoid import InputError
-from monoidkit.words import _spread, _step
+from monoidkit.shadows import (MAX_TERM_DEPTH, Concat, Letter, OmegaPower, OmegaTerm,
+                               Power)
+from monoidkit.words import FactorWitness, _spread, _step
 
 # cycle, transposition and collapse on 3 and 4 points: the full
 # transformation monoids T3 (27 elements) and T4 (256 elements)
@@ -40,6 +46,30 @@ def run_mono(argv, *, timeout=None, mem_kb=None, env=(), **kwargs):
         [sys.executable, "-m", "monoidkit.cli", *argv],
         **{**streams, **kwargs}, timeout=timeout, preexec_fn=limit, cwd=ROOT,
         env={**os.environ, **dict(env), "PYTHONPATH": str(ROOT / "src")})
+
+
+@contextmanager
+def frames_to_spare(frames=50):
+    """Lower the recursion limit to the caller's stack depth plus `frames`,
+    restoring it on exit: a call that recursed with the size of its input
+    raises RecursionError inside."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def outcome(f, *args):
+    """f(*args), or the text of the InputError it raises."""
+    try:
+        return f(*args)
+    except InputError as exc:
+        return str(exc)
 
 
 def all_words(alphabet="ab", max_len=6):
@@ -190,3 +220,140 @@ def check_eta_aperiodic_by_omega(E):
             if EM.table[xo][x] != xo:
                 return False, (e, x)
     return True, None
+
+
+# The two hand-written scanners of the CLI's input as they were before each
+# became one pass from the left, kept as oracles.
+
+class _Parser:
+    """Recursive descent for: expr := factor+; factor := atom ['^' (int|'w')];
+    atom := letter | '(' expr ')'.  Whitespace is ignored between tokens."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+        self.depth = 0
+
+    def error(self, msg: str):
+        raise InputError(f"term syntax error at position {self.pos}: {msg}")
+
+    def peek(self) -> str | None:
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+        return self.text[self.pos] if self.pos < len(self.text) else None
+
+    def parse(self) -> OmegaTerm:
+        t = self.expr()
+        if self.peek() is not None:
+            self.error(f"unexpected {self.text[self.pos]!r}")
+        return t
+
+    def expr(self) -> OmegaTerm:
+        parts = [self.factor()]
+        while True:
+            ch = self.peek()
+            if ch is None or ch == ")":
+                break
+            parts.append(self.factor())
+        return parts[0] if len(parts) == 1 else Concat(tuple(parts))
+
+    def factor(self) -> OmegaTerm:
+        a = self.atom()
+        if self.peek() == "^":
+            self.pos += 1
+            ch = self.peek()
+            if ch == "w":
+                self.pos += 1
+                return OmegaPower(a)
+            if ch is None or not ch.isdecimal():
+                self.error("expected an integer or w after ^")
+            start = self.pos
+            while self.pos < len(self.text) and self.text[self.pos].isdecimal():
+                self.pos += 1
+            k = _numeral(self.text[start:self.pos])
+            if k < 1:
+                self.pos = start
+                self.error("exponent must be at least 1")
+            if k == math.inf:
+                self.pos = start
+                self.error("exponent has too many digits")
+            return Power(a, k)
+        return a
+
+    def atom(self) -> OmegaTerm:
+        ch = self.peek()
+        if ch is None:
+            self.error("unexpected end of input")
+        if ch == "(":
+            if self.depth == MAX_TERM_DEPTH:
+                self.error(f"parentheses nested deeper than {MAX_TERM_DEPTH}")
+            self.depth += 1
+            self.pos += 1
+            t = self.expr()
+            if self.peek() != ")":
+                self.error("expected )")
+            self.pos += 1
+            self.depth -= 1
+            return t
+        if ch in ")^" or ch.isdecimal():
+            self.error(f"unexpected {ch!r}")
+        self.pos += 1
+        return Letter(ch)
+
+
+def parse_term_by_descent(text: str) -> OmegaTerm:
+    """shadows.parse_term as it was before it read the text in one pass from
+    the left, kept as an oracle: recursive descent, three frames a level."""
+    return _Parser(text).parse()
+
+
+def lemma_factor_by_spans(us: Sequence[str], vs: Sequence[str]) -> FactorWitness:
+    """words.lemma_factor as it was before it walked the v parts once against
+    the u parts' end offsets, kept as an oracle.
+
+    Given two factorizations u_1..u_m = v_1..v_n of one word with m <= n,
+    locate some v_j inside some u_i.
+
+    Constructive and deterministic: an empty v part wins immediately
+    (least j, then i = 1); otherwise map each v part to the non-empty u
+    part holding its last letter.  The map is monotone, so either two
+    consecutive v parts share a u part (v_j sits inside it, aligned) or
+    the map is a bijection and v_1 is a prefix of the first non-empty u.
+    """
+    us = tuple(us)
+    vs = tuple(vs)
+    m, n = len(us), len(vs)
+    if m < 1:
+        raise InputError("need at least one part")
+    if m > n:
+        raise InputError(f"first factorization has more parts ({m} > {n})")
+    w = "".join(us)
+    if "".join(vs) != w:
+        raise InputError("factorizations concatenate to different words")
+    for j, v in enumerate(vs):
+        if not v:
+            return FactorWitness(1, j + 1, 0)
+    spans = []  # (original index, start, end) of the non-empty u parts
+    pos = 0
+    for i, u in enumerate(us):
+        if u:
+            spans.append((i, pos, pos + len(u)))
+        pos += len(u)
+    f = []  # for each v part, the span holding its last letter
+    k = 0
+    pos = 0
+    for v in vs:
+        last = pos + len(v) - 1
+        while spans[k][2] <= last:
+            k += 1
+        f.append(k)
+        pos += len(v)
+    vstart = 0
+    for j in range(1, n):
+        vstart += len(vs[j - 1])
+        if f[j - 1] == f[j]:
+            orig, start, _end = spans[f[j]]
+            return FactorWitness(orig + 1, j + 1, vstart - start)
+    # f injective: it is a monotone bijection, and v_1 is a position-aligned
+    # prefix of the first non-empty u part (which starts at 0)
+    return FactorWitness(spans[0][0] + 1, 1, 0)

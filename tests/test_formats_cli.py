@@ -273,6 +273,27 @@ def test_cli_lemma_digests_non_utf8_argv_bytes():
     assert b"u_parts=\\xff\n" in proc.stdout
 
 
+def test_cli_writes_utf8_whatever_pythonioencoding(tmp_path):
+    # a report, an echoed argument and an error line each leave as UTF-8
+    # when PYTHONIOENCODING names a codec that cannot hold them
+    path = tmp_path / "alpha.mon"
+    path.write_text("elements: 1 \u03b1\nidentity: 1\ntable:\n1 \u03b1\n\u03b1 1\n",
+                    encoding="utf-8")
+    argv = ["info", str(path), "--format", "machine"]
+    proc = run_mono(argv, env={"PYTHONIOENCODING": "latin-1"})
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert "aperiodic_witness=\u03b1\n".encode() in proc.stdout
+    assert proc.stdout == run_mono(argv).stdout
+    proc = run_mono(["lemma", "--u", "\u00e9", "--v", "\u00e9", "--format", "machine"],
+                    env={"PYTHONIOENCODING": "latin-1"})
+    assert proc.returncode == 0 and b"u_parts=\xc3\xa9\nv_parts=\xc3\xa9\n" in proc.stdout
+    missing = tmp_path / "n\u00f6.mon"
+    proc = run_mono(["info", str(missing)], env={"PYTHONIOENCODING": "ascii"})
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert proc.stderr == (
+        f"error: [Errno 2] No such file or directory: {str(missing)!r}\n".encode())
+
+
 def test_cli_shadow_violated_golden(capsys):
     path = FIXDIR / "N3.mon"
     code, out, _ = run(

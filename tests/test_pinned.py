@@ -77,8 +77,9 @@ ROWS = [
                               "a=g"], 2, timeout=10, mem_kb=200000,
         err="error: cut profile of 100000 tuples of 100000 entries exceeds cap of "
             "10000000 entries"),
-    # about 12 s, all of it the fold, which runs to the end of the word
-    # before it counts; a fold that stops at the cap will change this line
+    # 10-18 s on 2 cores (Python 3.11), all of it the fold, which runs to the
+    # end of the word before it counts; a fold that stops at the cap will
+    # change this line
     row("cut-B21-n20", ["cut", "fixtures/B21.mon", "-n", "20", "--map", "a=a,b=b",
                         "".join(random.Random(0).choices("ab", k=1000))], 2, timeout=60,
         err="error: cut profile of 196721723701615 tuples exceeds cap of 100000"),

@@ -17,7 +17,8 @@ from monoidkit.monoid import FiniteMonoid
 from monoidkit.shadows import MAX_REPLAY_WORK, MAX_TERM_DEPTH
 from catalog import flipflop, n3, t2, z2
 from helpers import (M52_GENS, T3_GENS, T4_GENS, all_words,
-                     check_factor_witness)
+                     check_factor_witness, frames_to_spare, outcome,
+                     parse_term_by_descent)
 
 
 def test_parse_examples():
@@ -61,6 +62,71 @@ def test_parse_nesting_cap():
     assert evaluate(t, M, g) == M.identity
     with pytest.raises(InputError, match=f"position {MAX_TERM_DEPTH}: .*nested"):
         parse_term("(" + deepest + ")")
+
+
+def test_parse_does_not_recurse_with_the_nesting():
+    # the depth-MAX_TERM_DEPTH term and its depth-101 error with 50 frames
+    # to spare; the recursive descent spent three frames a level
+    deepest = "(" * MAX_TERM_DEPTH + "a" + ")^2" * MAX_TERM_DEPTH
+    with frames_to_spare(50):
+        t = parse_term(deepest)
+        with pytest.raises(InputError) as exc:
+            parse_term("(" + deepest + ")")
+    assert t == parse_term_by_descent(deepest)
+    assert str(exc.value) == (f"term syntax error at position {MAX_TERM_DEPTH}: "
+                              f"parentheses nested deeper than {MAX_TERM_DEPTH}")
+
+
+def _parse_as_the_oracle(texts):
+    """parse_term gives the descent oracle's tree, or its exact InputError
+    text, error position included; each tree round-trips via term_text."""
+    for text in texts:
+        got = outcome(parse_term, text)
+        assert got == outcome(parse_term_by_descent, text), text
+        if not isinstance(got, str):
+            assert parse_term(term_text(got)) == got, text
+
+
+def test_parse_matches_descent_on_every_short_string():
+    # all 66,430 strings of at most 5 symbols over these 9
+    _parse_as_the_oracle("".join(p) for k in range(6)
+                         for p in product("a(b)^w0 1", repeat=k))
+
+
+def test_parse_matches_descent_on_seeded_long_strings():
+    # MONO_SEED pins the sample: random strings, and random terms rendered
+    # with blanks strewn in and one symbol dropped, added or replaced
+    rng = random.Random(int(os.environ.get("MONO_SEED", "0")))
+    symbols = "ab()^w0123 \t\u00b2"
+
+    def term(depth):
+        k = rng.random()
+        if depth == 0 or k < 0.35:
+            return Letter(rng.choice("abw\u00b2"))
+        if k < 0.6:
+            return Concat(tuple(term(depth - 1) for _ in range(rng.randint(2, 3))))
+        base = term(depth - 1)
+        return OmegaPower(base) if k < 0.8 else Power(base, rng.randint(1, 120))
+
+    texts = ["".join(rng.choices(symbols, k=rng.randint(6, 40))) for _ in range(3000)]
+    for _ in range(3000):
+        text = list(term_text(term(rng.randint(1, 6))))
+        for _ in range(rng.randint(0, 3)):
+            text.insert(rng.randint(0, len(text)), rng.choice(" \t"))
+        k, edit = rng.randrange(len(text) + 1), rng.randrange(4)
+        text[k:k + (edit in (1, 2))] = rng.choice(symbols) if edit > 1 else ""
+        texts.append("".join(text))
+    _parse_as_the_oracle(texts)
+
+
+def test_parse_matches_descent_at_the_caps():
+    deepest = "(" * MAX_TERM_DEPTH + "a" + ")^2" * MAX_TERM_DEPTH
+    _parse_as_the_oracle([
+        deepest, "(" + deepest + ")",
+        "(" * MAX_TERM_DEPTH + "ab" + ")" * MAX_TERM_DEPTH,
+        "(" * (MAX_TERM_DEPTH + 1) + "ab" + ")" * (MAX_TERM_DEPTH + 1),
+        "a^1" + "0" * 4299, "a^" + "9" * 4301, "(ab)^" + "9" * 4300 + "b",
+        "a^" + "0" * 4300, "a^ " + "7" * 4301 + "^w"])
 
 
 def test_term_text_round_trip():

@@ -2,11 +2,10 @@ import gc
 import math
 import os
 import random
-import sys
 import time
 import tracemalloc
 from collections import Counter
-from itertools import accumulate, product
+from itertools import accumulate, chain, product
 
 import pytest
 
@@ -16,6 +15,7 @@ from monoidkit import (CapExceeded, CutProfile, FactorWitness, InputError,
                        generator_map, lemma_factor, match_factorization, word_image)
 from catalog import z2
 from helpers import (all_words, check_factor_witness, cut_by_step_fold,
+                     frames_to_spare, lemma_factor_by_spans, outcome,
                      word_profile)
 
 
@@ -346,18 +346,9 @@ def test_cut_does_not_recurse_with_the_arity():
     w = "a" * 300
     with pytest.raises(CapExceeded) as oracle:
         cut_by_step_fold(M, g, w, 300)
-    depth, frame = 0, sys._getframe()
-    while frame is not None:
-        depth, frame = depth + 1, frame.f_back
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(depth + 50)
-    try:
+    with frames_to_spare(50), pytest.raises(CapExceeded) as exc:
         cut(M, g, w, 300)
-    except CapExceeded as exc:
-        message = str(exc)
-    finally:
-        sys.setrecursionlimit(limit)
-    assert message == str(oracle.value)
+    assert str(exc.value) == str(oracle.value)
 
 
 def test_cut_leaves_no_reference_cycle(fx):
@@ -411,6 +402,15 @@ def test_lemma_errors():
         lemma_factor(("ab",), ("a", "a"))
     with pytest.raises(InputError):
         lemma_factor((), ())
+
+
+def test_lemma_matches_the_span_oracle():
+    # every pair of 1..4-part factorizations of every word of at most 5
+    # letters over {a, b}: the same witness, or the same error where m > n
+    for w in all_words("ab", 5):
+        fact = [list(factorizations(w, k)) for k in (1, 2, 3, 4)]
+        for us, vs in product(chain.from_iterable(fact), repeat=2):
+            assert outcome(lemma_factor, us, vs) == outcome(lemma_factor_by_spans, us, vs)
 
 
 def test_lemma_exhaustive_small():
