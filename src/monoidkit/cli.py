@@ -25,8 +25,8 @@ from .expansion import ExpandedMonoid, build_expansion, check_eta_aperiodic
 from .formats import (dfa_to_transition_monoid, load_table, parse_dfa,
                       parse_tgen, serialize_monoid)
 from .monoid import (CapExceeded, FiniteMonoid, GeneratorMap, InputError,
-                     generator_map, greens, ideal_generated, is_aperiodic,
-                     is_idempotent_ideal, is_prime_ideal, is_regular,
+                     _regular_elements, generator_map, greens, ideal_generated,
+                     is_aperiodic, is_idempotent_ideal, is_prime_ideal,
                      minimal_ideal)
 from .shadows import (ProfileMismatch, group_element_shadow,
                       ideal_product_shadow, parse_term, replay_factorization)
@@ -114,8 +114,7 @@ def _cmd_info(args) -> tuple[dict[str, str], int]:
     if not aper:
         fields["aperiodic_witness"] = M.names[witness]
     fields["idempotents"] = _names(M, M.idempotents())
-    fields["regular_elements"] = _names(
-        M, [a for a in range(M.order) if is_regular(M, a)[0]])
+    fields["regular_elements"] = _names(M, _regular_elements(M))
     fields["minimal_ideal"] = _names(M, minimal_ideal(M))
     return fields, 0
 

@@ -451,24 +451,100 @@ def _classify(keys) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     return tuple(class_of), tuple(tuple(c) for c in classes)
 
 
+def _sccs(n: int, maps: Sequence[Sequence[int]]) -> list[int]:
+    """The strongly connected components of the graph on 0..n-1 with an
+    edge x -> m[x] for each m in maps, as a component id per node.
+
+    Tarjan's algorithm (SIAM J. Comput., 1972), O(n * |maps|), on an
+    explicit stack, since a path can be as long as n.  Ids are given in
+    the order the components complete, which is reverse topological: an
+    edge between two components leads to the one with the lower id."""
+    num = [0] * n  # 1 + preorder number; 0 while unvisited
+    low = [0] * n
+    comp = [-1] * n
+    path: list[int] = []  # visited nodes not yet in a component
+    count = done = 0
+    for root in range(n):
+        if num[root]:
+            continue
+        count += 1
+        num[root] = low[root] = count
+        path.append(root)
+        dfs = [(root, iter([m[root] for m in maps]))]
+        while dfs:
+            v, edges = dfs[-1]
+            for w in edges:
+                if not num[w]:
+                    count += 1
+                    num[w] = low[w] = count
+                    path.append(w)
+                    dfs.append((w, iter([m[w] for m in maps])))
+                    break
+                if comp[w] < 0 and num[w] < low[v]:
+                    low[v] = num[w]
+            else:
+                dfs.pop()
+                if dfs and low[v] < low[dfs[-1][0]]:
+                    low[dfs[-1][0]] = low[v]
+                if low[v] == num[v]:
+                    w = -1
+                    while w != v:
+                        w = path.pop()
+                        comp[w] = done
+                    done += 1
+    return comp
+
+
+def _cayley_maps(M: FiniteMonoid) -> tuple[list[list[int]], list[tuple[int, ...]]]:
+    """The right and left Cayley graphs of M over its greedy generators a,
+    as successor maps: x -> x*a and x -> a*x.  The identity, which adds
+    only loops, is left out.  Since every element is a product of the
+    generators, on an associative table y is reachable from x in the right
+    graph exactly when y is in xM, in the left one when y is in Mx, and in
+    both together when y is in MxM."""
+    t, e = M.table, M.identity
+    A = [a for a in M._generators if a != e]
+    return [[row[a] for row in t] for a in A], [t[a] for a in A]
+
+
 def greens(M: FiniteMonoid) -> GreensData:
-    """Green's relations from the defining ideals xM, Mx, MxM.  MxM is built
-    once per R-class, and J(a) <= J(b) exactly when a is in MbM."""
-    t = M.table
-    r_ideal = [frozenset(row) for row in t]
-    l_ideal = [frozenset(col) for col in zip(*t)]
-    r_of, r_classes = _classify(r_ideal)
-    l_of, l_classes = _classify(l_ideal)
+    """Green's relations of a validated monoid, from the strongly connected
+    components of its Cayley graphs over the greedy generators (Froidure &
+    Pin, "Algorithms for computing finite semigroups", 1997): R-classes in
+    the right graph, L-classes in the left one and J-classes, which equal
+    D-classes in a finite monoid, in both together.  H pairs the R- and
+    L-class numbers.  O(order * |A|) for the generators A, plus O(#J^2) for
+    the J-order, read off the J-classes in topological order: a class lies
+    below every class with a path to it.  The table must be associative."""
+    n = M.order
+    right, left = _cayley_maps(M)
+    r_of, r_classes = _classify(_sccs(n, right))
+    l_of, l_classes = _classify(_sccs(n, left))
     h_of, h_classes = _classify(zip(r_of, l_of))
-    # MxM is the union of the left ideals Mr over r in xM, taken as a set so
-    # each distinct one is merged once (merging all |xM| of them leaves the
-    # frozensets' tables half empty; T4: +1 MB)
-    j_ideal = [frozenset().union(*{l_ideal[r] for r in r_ideal[c[0]]}) for c in r_classes]
-    j_of, j_classes = _classify([j_ideal[r] for r in r_of])
-    reps = [cls[0] for cls in j_classes]
-    j_leq = tuple(zip(*(map(j_ideal[r_of[b]].__contains__, reps) for b in reps)))
+    edges = right + left
+    comp = _sccs(n, edges)
+    j_of, j_classes = _classify(comp)
+    # above[c] has bit b set when J(c) <= J(b); Tarjan's ids fall from the
+    # sources, so each class is complete before it passes on its bits
+    k = len(j_classes)
+    above = [0] * k
+    for c in sorted(range(k), key=lambda c: comp[j_classes[c][0]], reverse=True):
+        bits = above[c] = above[c] | 1 << c
+        for d in {j_of[m[x]] for x in j_classes[c] for m in edges}:
+            above[d] |= bits
+    j_leq = tuple(tuple(map("1".__eq__, f"{bits:0{k}b}"[::-1])) for bits in above)
     return GreensData(r_of, l_of, j_of, h_of,
                       r_classes, l_classes, j_classes, h_classes, j_leq)
+
+
+def _regular_elements(M: FiniteMonoid) -> list[int]:
+    """The regular elements of a validated monoid: those whose R-class,
+    a component of the right Cayley graph, holds an idempotent.  If a R e
+    with e*e = e, then e = a*b for some b and a = e*a = a*b*a; if a = a*b*a,
+    then a*b is idempotent and R-related to a."""
+    r_of = _sccs(M.order, _cayley_maps(M)[0])
+    held = {r_of[e] for e in M.idempotents()}
+    return [a for a in range(M.order) if r_of[a] in held]
 
 
 def is_regular(M: FiniteMonoid, a: int) -> tuple[bool, int | None]:

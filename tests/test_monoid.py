@@ -1,5 +1,6 @@
 import os
 import random
+import tracemalloc
 from itertools import combinations, combinations_with_replacement
 from pathlib import Path
 
@@ -19,11 +20,12 @@ from monoidkit import (CapExceeded, GeneratorMap, InputError, Letter,
 from monoidkit.cli import cli_dispatch
 from monoidkit.monoid import (DEFAULT_ELEMENT_CAP, FiniteMonoid, GreensData,
                               _check_name, _classify, _first_violation,
-                              _greedy_generators, _product, configured_cap)
+                              _greedy_generators, _product, _regular_elements,
+                              configured_cap)
 from catalog import b21, catalog, fixtures, flipflop, n3, t2, trivial, z2, z3
-from helpers import (M52_GENS, T3_GENS, T4_GENS, greedy_generators_by_scan,
-                     ideal_product, is_aperiodic_by_omega, omega_power_by_search,
-                     power_by_squaring)
+from helpers import (M52_GENS, T3_GENS, T4_GENS, frames_to_spare,
+                     greedy_generators_by_scan, greens_by_ideals, ideal_product,
+                     is_aperiodic_by_omega, omega_power_by_search, power_by_squaring)
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -643,6 +645,82 @@ def test_greens_matches_subset_oracle(cat, fx):
     assert [M.order for M in monoids] == [256, 52, 160, 1, 5, 83, 157, 137]
     for M in monoids:
         assert greens(M) == greens_by_subsets(M)
+
+
+def relabelled(M, rng):
+    """M with its elements renumbered by a random permutation that moves
+    the identity off index 0 (when there is another index), so the greedy
+    generators and the search order over the table change."""
+    n = M.order
+    perm = list(range(n))
+    rng.shuffle(perm)
+    if n > 1 and perm[M.identity] == 0:
+        other = rng.choice([x for x in range(n) if x != M.identity])
+        perm[M.identity], perm[other] = perm[other], perm[M.identity]
+    inv = sorted(range(n), key=perm.__getitem__)
+    names = tuple(M.names[x] for x in inv)
+    table = tuple(tuple(perm[M.table[x][y]] for y in inv) for x in inv)
+    R = FiniteMonoid(names, perm[M.identity], table)
+    R.validate()
+    return R
+
+
+@pytest.fixture(scope="module")
+def relabelled_monoids(oracle_monoids):
+    """Each oracle monoid, T4 and M52, as given and under two MONO_SEED-seeded
+    relabellings."""
+    rng = random.Random(int(os.environ.get("MONO_SEED", "0")))
+    monoids = [*oracle_monoids.values(),
+               generate_from_transformations(4, T4_GENS)[0],
+               generate_from_transformations(4, M52_GENS)[0]]
+    return [R for M in monoids for R in (M, relabelled(M, rng), relabelled(M, rng))]
+
+
+def test_greens_matches_the_oracles_on_relabelled_tables(relabelled_monoids):
+    for M in relabelled_monoids:
+        gd = greens(M)
+        assert gd == greens_by_ideals(M)
+        assert gd == greens_by_subsets(M)
+        if M.order <= 60:
+            assert gd == greens_brute(M)
+
+
+def test_info_regular_list_matches_is_regular(relabelled_monoids):
+    for M in relabelled_monoids:
+        assert _regular_elements(M) == [a for a in range(M.order) if is_regular(M, a)[0]]
+
+
+def nilpotent_chain(k):
+    """1, a, ..., a^k = 0: a^i * a^j = a^min(i + j, k)."""
+    names = ("1", *(f"a{i}" for i in range(1, k + 1)))
+    return FiniteMonoid(names, 0, tuple(tuple(min(i + j, k) for j in range(k + 1))
+                                        for i in range(k + 1)))
+
+
+def test_greens_does_not_recurse_with_the_order():
+    # the search from 1 along x -> x*a walks a path through all 301 elements
+    k = 300
+    M = nilpotent_chain(k)
+    M.validate()
+    with frames_to_spare(50):
+        gd = greens(M)
+        regular = _regular_elements(M)
+    assert gd.r_classes == gd.l_classes == gd.j_classes == tuple((i,) for i in range(k + 1))
+    assert gd.j_leq == tuple(tuple(i >= j for j in range(k + 1)) for i in range(k + 1))
+    assert regular == [0, k]
+
+
+def test_greens_stays_in_small_memory():
+    # T4: one row and one column per element as sets took 2.1 MB
+    M = generate_from_transformations(4, T4_GENS)[0]
+    M.validate()
+    tracemalloc.start()
+    try:
+        greens(M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
 
 
 def test_regular_witness_is_valid(oracle_monoids):

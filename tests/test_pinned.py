@@ -61,7 +61,10 @@ ROWS = [
     row("info-late", ["info", "{tmp}/late.mon"], 2, timeout=20,
         err="error: not associative: (z399*z399)*z398 != z399*(z399*z398)"),
     # T4 (256 elements) from a cycle, a transposition and a collapse
-    row("info-T4", ["info", "{tmp}/T4.mon"]),
+    row("info-T4", ["info", "{tmp}/T4.mon"],
+        out="f4ff691b23c0b4ea3e9b274aec0b264de58719e7f213b8a7a7654f6c0b713678"),
+    row("greens-T4", ["greens", "{tmp}/T4.mon"],
+        out="605b7f641cdb8c5b2159100578648248553ffcba12b4fb043733898286c42b7d"),
     row("sweep-T4", ["shadow", "{tmp}/T4.mon"], timeout=10),
     # adversarial inputs stop at their caps
     row("cut-B21-n100", ["cut", "fixtures/B21.mon", "-n", "100", "--map", "a=a,b=b",
