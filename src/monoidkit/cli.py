@@ -188,7 +188,7 @@ def _cmd_expand(args) -> tuple[dict[str, str], int]:
         "n": str(args.n),
         "base_order": str(M.order),
         "order": str(E.order),
-        "generated_size": str(len(g.generated)),
+        "generated_size": str(len(fibers)),
         "eta_fibers": ",".join(f"{M.names[e]}:{k}" for e, k in fibers),
         "eta_aperiodic": _bool(aper),
     }

@@ -73,12 +73,7 @@ class ExpandedMonoid(Record):
         return tuple(x for x in range(self.order) if self.eta[x] == e)
 
 
-def build_expansion(
-    M: FiniteMonoid,
-    g: GeneratorMap,
-    n: int,
-    cap: int | None = None,
-) -> ExpandedMonoid:
+def build_expansion(M: FiniteMonoid, g: GeneratorMap, n: int) -> ExpandedMonoid:
     """Breadth-first closure of the identity profile under the letter step
     that `cut` folds over a word, run on each profile's set of non-identity
     sequences, which is also what the result stores.
@@ -87,14 +82,16 @@ def build_expansion(
     sorted by encoding (its spread tuples, built for the sort and then
     dropped) before numbering; representatives are
     shortlex-least words.  A non-generating map is fine: the result is the
-    expansion of the generated submonoid.
+    expansion of the generated submonoid, onto which eta maps, so its
+    fibers are one per element of that submonoid.  CapExceeded past
+    configured_cap(DEFAULT_PROFILE_CAP) profiles, which MONO_CAP sets.
 
     Profile equality is a congruence, so `_closure` reads the table off the
     right Cayley graph of the search without any profile products.
     """
     if n < 1:
         raise InputError("arity must be >= 1")
-    cap = configured_cap(DEFAULT_PROFILE_CAP) if cap is None else cap
+    cap = configured_cap(DEFAULT_PROFILE_CAP)
     alphabet = sorted(g.alphabet)  # so the least letter-index word is shortlex-least
     images = [g.image(a) for a in alphabet]
     seqs, words, table = _closure(

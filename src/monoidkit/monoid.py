@@ -284,11 +284,10 @@ class FiniteMonoid(Record):
 
 
 class GeneratorMap(Record):
-    """Letters mapped to elements; the submonoid they generate is recorded."""
+    """Letters mapped to elements: letter alphabet[i] has image images[i]."""
 
     alphabet: tuple[str, ...]
     images: tuple[int, ...]
-    generated: tuple[int, ...]
 
     def image(self, letter: str) -> int:
         try:
@@ -316,6 +315,8 @@ def _reach(t: Sequence[Sequence[int]], found: list[int], right: Sequence[int],
 
 
 def generator_map(M: FiniteMonoid, mapping: Mapping[str, int]) -> GeneratorMap:
+    """The letters of mapping, in its order, with their images; each letter
+    must be non-empty and each image an element of M."""
     letters = tuple(mapping)
     images = tuple(mapping[a] for a in letters)
     for a in letters:
@@ -324,8 +325,7 @@ def generator_map(M: FiniteMonoid, mapping: Mapping[str, int]) -> GeneratorMap:
     for x in images:
         if not 0 <= x < M.order:
             raise InputError(f"generator image {x} out of range")
-    generated = _reach(M.table, [M.identity], images)
-    return GeneratorMap(letters, images, tuple(sorted(generated)))
+    return GeneratorMap(letters, images)
 
 
 def _closure(start, step, letters: int, cap: int, message: str, key=None):
@@ -391,14 +391,14 @@ def _closure(start, step, letters: int, cap: int, message: str, key=None):
 def generate_from_transformations(
     degree: int,
     gens: Mapping[str, Sequence[int]],
-    cap: int | None = None,
 ) -> tuple[FiniteMonoid, GeneratorMap]:
     """Close named maps on {0..degree-1} under composition, identity adjoined.
 
     Elements are ordered by shortlex-first generator word (generators in the
     given order), each is named by that word (``1`` for the empty one), and
-    `_closure` reads the table off the search.  Returns the monoid and the
-    generator map.
+    `_closure` reads the table off the search.  CapExceeded past
+    configured_cap(DEFAULT_ELEMENT_CAP) elements, which MONO_CAP sets.
+    Returns the monoid and the generator map.
     """
     if degree < 1:
         raise InputError("degree must be >= 1")
@@ -410,7 +410,7 @@ def generate_from_transformations(
             raise InputError(f"generator {name!r} is not a map on {degree} points")
         names.append(name)
         maps.append(m)
-    cap = configured_cap(DEFAULT_ELEMENT_CAP) if cap is None else cap
+    cap = configured_cap(DEFAULT_ELEMENT_CAP)
     elems, words, table = _closure(
         tuple(range(degree)), lambda x, k: tuple(map(maps[k].__getitem__, x)),
         len(maps), cap, f"transformation closure exceeded cap of {cap} elements")

@@ -286,8 +286,13 @@ class _SequenceDag:
 
     def tuple_count(self, a: int) -> int:
         """How many n-tuples a's sequences spread into: C(n, k) each for
-        its sequences of k elements."""
-        return sum(comb(self.n, k) * m for k, m in enumerate(self.counts[a]))
+        its sequences of k elements.  C(n, k) is stepped from C(n, k - 1),
+        one product and one exact division each, since n may be huge."""
+        n, total, c = self.n, 0, 1
+        for k, m in enumerate(self.counts[a]):
+            total += c * m
+            c = c * (n - k) // (k + 1)
+        return total
 
     def fold(self, g: GeneratorMap, w: str) -> int:
         """The node of w's non-identity part sequences: each letter of

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from monoidkit.monoid import (FiniteMonoid, GeneratorMap,
-                              generate_from_transformations, generator_map)
+from monoidkit.monoid import FiniteMonoid, GeneratorMap, generator_map
 
 
 def trivial() -> FiniteMonoid:
@@ -30,10 +29,10 @@ def flipflop() -> FiniteMonoid:
 
 
 def t2() -> FiniteMonoid:
-    """All four transformations of a two-point set."""
-    # an explicit cap, so the catalog never reads MONO_CAP
-    return generate_from_transformations(
-        2, {"s": (1, 0), "c1": (0, 0), "c2": (1, 1)}, cap=4)[0]
+    """All four transformations of a two-point set: the swap s and the
+    constants c1, c2, named and numbered as their closure names them."""
+    return FiniteMonoid(("1", "s", "c1", "c2"), 0,
+                        ((0, 1, 2, 3), (1, 0, 2, 3), (2, 3, 2, 3), (3, 2, 2, 3)))
 
 
 def b21() -> FiniteMonoid:

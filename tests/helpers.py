@@ -12,7 +12,7 @@ from pathlib import Path
 
 from monoidkit.expansion import profile_product
 from monoidkit.formats import _numeral
-from monoidkit.monoid import GreensData, InputError, _classify
+from monoidkit.monoid import GeneratorMap, GreensData, InputError, _classify
 from monoidkit.shadows import (MAX_TERM_DEPTH, Concat, Letter, OmegaPower, OmegaTerm,
                                Power)
 from monoidkit.words import FactorWitness, _spread, _step
@@ -102,6 +102,32 @@ def ideal_product(M, I, J):
     instead; this product is kept as their oracle."""
     t = M.table
     return tuple(sorted({t[x][y] for x in I for y in J}))
+
+
+def generator_map_bfs(M, mapping):
+    """Oracle: generator_map's checks and map, with the submonoid the
+    letters generate beside it, found by breadth-first search from the
+    identity, one generation at a time, as a sorted element tuple."""
+    letters = tuple(mapping)
+    images = tuple(mapping[a] for a in letters)
+    for a in letters:
+        if not a:
+            raise InputError("empty letter")
+    for x in images:
+        if not 0 <= x < M.order:
+            raise InputError(f"generator image {x} out of range")
+    seen = {M.identity}
+    frontier = [M.identity]
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for x in images:
+                v = M.table[s][x]
+                if v not in seen:
+                    seen.add(v)
+                    nxt.append(v)
+        frontier = nxt
+    return GeneratorMap(letters, images), tuple(sorted(seen))
 
 
 def greedy_generators_by_scan(t):

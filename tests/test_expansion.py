@@ -8,14 +8,14 @@ import pytest
 
 from monoidkit import (CapExceeded, CutProfile, InputError, build_expansion,
                        check_eta_aperiodic, check_refinement, cut,
-                       generator_map, is_aperiodic, load_table,
-                       profile_product, word_image)
-from monoidkit.cli import _expansion_sidecar
+                       generate_from_transformations, generator_map, is_aperiodic,
+                       load_table, profile_product, serialize_monoid, word_image)
+from monoidkit.cli import _expansion_sidecar, cli_dispatch
 from monoidkit.expansion import DEFAULT_PROFILE_CAP, ExpandedMonoid
 from monoidkit.monoid import configured_cap
 from monoidkit.words import _spread, _squeeze, _step
 from catalog import flipflop, n3, t2, trivial, z2, z3
-from helpers import (all_words, check_eta_aperiodic_by_omega,
+from helpers import (all_words, check_eta_aperiodic_by_omega, generator_map_bfs,
                      identity_profile, letter_profile, profile_index,
                      word_profile)
 
@@ -107,10 +107,27 @@ def test_eta_surjects_onto_generated_submonoid(cat):
     for _, (M, g) in cat.items():
         for n in (1, 2, 3):
             E = build_expansion(M, g, n)
-            assert tuple(sorted(set(E.eta))) == g.generated
+            mapping = dict(zip(g.alphabet, g.images))
+            assert tuple(sorted(set(E.eta))) == generator_map_bfs(M, mapping)[1]
             for i in range(E.order):
                 for j in range(E.order):
                     assert E.eta[E.table[i][j]] == M.mul(E.eta[i], E.eta[j])
+
+
+def test_generated_size_is_the_size_of_the_generated_submonoid(tmp_path, capsys, fx):
+    # every fixture map at n = 1..3, and z3 with its one letter sent to the identity
+    cases = [(name, M, g, n) for name, (M, g) in fx.items() for n in (1, 2, 3)]
+    cases.append(("z3-a0", z3(), generator_map(z3(), {"a": 0}), 2))
+    for name, M, g, n in cases:
+        path = tmp_path / f"{name}.mon"
+        path.write_text(serialize_monoid(M))
+        mapping = dict(zip(g.alphabet, g.images))
+        gens = ",".join(f"{a}={M.names[x]}" for a, x in mapping.items())
+        cli_dispatch(["expand", str(path), "-n", str(n), "--gens", gens,
+                      "--format", "machine"])
+        fields = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+        generated = generator_map_bfs(M, mapping)[1]
+        assert fields["generated_size"] == str(len(generated)), (name, n)
 
 
 def test_representative_round_trip(cat):
@@ -202,17 +219,18 @@ def test_aperiodic_base_gives_aperiodic_expansion(cat):
 def test_non_generating_map_expands_the_submonoid():
     M = z3()
     g = generator_map(M, {"a": 0})
-    assert g.generated == (0,)
+    assert generator_map_bfs(M, {"a": 0}) == (g, (0,))
     E = build_expansion(M, g, 2)
     assert E.order == 1
     assert set(E.eta) == {0}
 
 
-def test_expansion_cap():
+def test_expansion_cap(monkeypatch):
+    monkeypatch.setenv("MONO_CAP", "10")
     M = z3()
     g = generator_map(M, {"a": 1, "b": 2})
     with pytest.raises(CapExceeded) as ei:
-        build_expansion(M, g, 3, cap=10)
+        build_expansion(M, g, 3)
     assert ei.value.count == 10
 
 
@@ -229,9 +247,12 @@ def test_refinement_examples(cat):
 
 def test_refinement_across_construction_routes():
     # T2 built by closure and T2 loaded from its .mon file are one monoid
-    loaded = load_table((FIXDIR / "T2.mon").read_text())
+    text = (FIXDIR / "T2.mon").read_text()
+    closed = generate_from_transformations(
+        2, {"s": (1, 0), "c1": (0, 0), "c2": (1, 1)})[0]
+    assert serialize_monoid(closed) == text
     E = {}
-    for n, M in ((2, t2()), (1, loaded)):
+    for n, M in ((2, closed), (1, load_table(text))):
         g = generator_map(M, {"a": M.element("s"), "b": M.element("c1")})
         E[n] = build_expansion(M, g, n)
     assert check_refinement(E[2], E[1]) is True
@@ -276,13 +297,13 @@ def test_table_matches_profile_product_oracle(cat):
         assert E.table == product_table(E), (name, n)
 
 
-def build_expansion_spread(M, g, n, cap=None):
+def build_expansion_spread(M, g, n):
     """The earlier build_expansion, kept as an oracle: it keys the search
     on padded CutProfiles, spreads every letter step of every frontier
     profile, and checks that all tuples of a profile give one eta."""
     if n < 1:
         raise InputError("arity must be >= 1")
-    cap = configured_cap(DEFAULT_PROFILE_CAP) if cap is None else cap
+    cap = configured_cap(DEFAULT_PROFILE_CAP)
     ident = identity_profile(M, n)
     letters = [g.image(a) for a in g.alphabet]
     profiles = [ident]
@@ -410,9 +431,9 @@ def test_tuple_cap_stops_where_the_spread_oracle_does(monkeypatch, fx, limit):
     assert (str(new.value), new.value.count) == (str(old.value), old.value.count)
 
 
-def expansion_outcome(build, M, g, n, cap):
+def expansion_outcome(build, M, g, n):
     try:
-        E = build(M, g, n, cap=cap)
+        E = build(M, g, n)
     except CapExceeded as exc:
         return str(exc), exc.count
     return E.profiles, E.table, E.eta, E.representatives
@@ -420,11 +441,13 @@ def expansion_outcome(build, M, g, n, cap):
 
 @pytest.mark.parametrize("name, n, order", [("z3", 3, 24), ("b21", 2, 71), ("b21", 3, 1835)])
 @pytest.mark.parametrize("cap", [1, 2, 10, -1, 0])  # -1, 0: order - 1, order
-def test_expansion_cap_stops_where_the_spread_oracle_does(fx, name, n, order, cap):
+def test_expansion_cap_stops_where_the_spread_oracle_does(monkeypatch, fx, name, n, order,
+                                                          cap):
     M, g = fx[name]
     cap = cap if cap > 0 else order + cap
-    got = expansion_outcome(build_expansion, M, g, n, cap)
-    assert got == expansion_outcome(build_expansion_spread, M, g, n, cap)
+    monkeypatch.setenv("MONO_CAP", str(cap))
+    got = expansion_outcome(build_expansion, M, g, n)
+    assert got == expansion_outcome(build_expansion_spread, M, g, n)
     if cap < order:
         assert got == (f"expansion exceeded cap of {cap} profiles", cap)
     else:
@@ -438,8 +461,9 @@ def test_tuple_cap_comes_before_the_profile_cap(monkeypatch, fx):
     monkeypatch.setattr("monoidkit.words.MAX_PROFILE_TUPLES", 12)
     M, g = fx["b21"]
     for cap in range(1, 20):
-        got = expansion_outcome(build_expansion, M, g, 3, cap)
-        assert got == expansion_outcome(build_expansion_spread, M, g, 3, cap), cap
+        monkeypatch.setenv("MONO_CAP", str(cap))
+        got = expansion_outcome(build_expansion, M, g, 3)
+        assert got == expansion_outcome(build_expansion_spread, M, g, 3), cap
         assert got == ((f"expansion exceeded cap of {cap} profiles", cap) if cap < 15
                        else ("cut profile of 15 tuples exceeds cap of 12", 15)), cap
 

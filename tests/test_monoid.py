@@ -9,21 +9,22 @@ import pytest
 import monoidkit.cli
 import monoidkit.formats
 import monoidkit.monoid
+import monoidkit.shadows
 from monoidkit import (CapExceeded, GeneratorMap, InputError, Letter,
-                       MembershipVerdict, build_expansion,
+                       MembershipVerdict, build_expansion, cut, cut_brute,
                        dfa_to_transition_monoid, evaluate,
                        generate_from_transformations, generator_map, greens,
                        ideal_generated, ideal_product_shadow, is_aperiodic,
                        is_group_element, is_ideal, is_idempotent_ideal,
                        is_prime_ideal, is_regular, load_table, parse_dfa,
-                       parse_tgen)
+                       parse_tgen, replay_factorization)
 from monoidkit.cli import cli_dispatch
 from monoidkit.monoid import (DEFAULT_ELEMENT_CAP, FiniteMonoid, GreensData,
                               _check_name, _classify, _first_violation,
                               _greedy_generators, _product, _regular_elements,
                               configured_cap)
 from catalog import b21, catalog, fixtures, flipflop, n3, t2, trivial, z2, z3
-from helpers import (M52_GENS, T3_GENS, T4_GENS, frames_to_spare,
+from helpers import (M52_GENS, T3_GENS, T4_GENS, frames_to_spare, generator_map_bfs,
                      greedy_generators_by_scan, greens_by_ideals, ideal_product,
                      is_aperiodic_by_omega, omega_power_by_search, power_by_squaring)
 
@@ -47,7 +48,7 @@ def oracle_monoids():
     return out
 
 
-def generate_pairwise(degree, gens, cap=None):
+def generate_pairwise(degree, gens):
     """Oracle: the transformation closure with its table built by composing
     every pair of elements, O(order^2 * degree)."""
     if degree < 1:
@@ -59,7 +60,7 @@ def generate_pairwise(degree, gens, cap=None):
         if len(m) != degree or any(not 0 <= v < degree for v in m):
             raise InputError(f"generator {name!r} is not a map on {degree} points")
         items.append((name, m))
-    cap = configured_cap(DEFAULT_ELEMENT_CAP) if cap is None else cap
+    cap = configured_cap(DEFAULT_ELEMENT_CAP)
     ident = tuple(range(degree))
     elems = [ident]
     words = [""]
@@ -202,31 +203,6 @@ def is_prime_ideal_by_cells(M, I):
             if M.table[a][b] in inside:
                 return False, (a, b)
     return True, None
-
-
-def generator_map_bfs(M, mapping):
-    """Oracle: the generated submonoid by breadth-first search from the
-    identity, one generation at a time."""
-    letters = tuple(mapping)
-    images = tuple(mapping[a] for a in letters)
-    for a in letters:
-        if not a:
-            raise InputError("empty letter")
-    for x in images:
-        if not 0 <= x < M.order:
-            raise InputError(f"generator image {x} out of range")
-    seen = {M.identity}
-    frontier = [M.identity]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for x in images:
-                v = M.table[s][x]
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    return GeneratorMap(letters, images, tuple(sorted(seen)))
 
 
 def ideal_product_shadow_fold(M, g, alphas, ideal_gens):
@@ -422,12 +398,13 @@ def test_generate_two_constants_gives_flipflop():
     M, g = generate_from_transformations(2, {"s": (0, 0), "r": (1, 1)})
     assert M.names == ("1", "s", "r")
     assert M.table == flipflop().table
-    assert g.generated == (0, 1, 2)
+    assert generator_map_bfs(M, {"s": 1, "r": 2}) == (g, (0, 1, 2))
 
 
-def test_generate_cap():
+def test_generate_cap(monkeypatch):
+    monkeypatch.setenv("MONO_CAP", "2")
     with pytest.raises(CapExceeded):
-        generate_from_transformations(2, {"s": (0, 0), "r": (1, 1)}, cap=2)
+        generate_from_transformations(2, {"s": (0, 0), "r": (1, 1)})
 
 
 def closure_cases(monkeypatch):
@@ -467,18 +444,19 @@ def test_closure_matches_pairwise_oracle(monkeypatch):
     assert orders[3:6] == [27, 256, 52]
 
 
-def closure_outcome(closure, degree, gens, cap):
+def closure_outcome(closure, degree, gens):
     try:
-        return closure(degree, gens, cap=cap)
+        return closure(degree, gens)
     except CapExceeded as exc:
         return str(exc), exc.count
 
 
 @pytest.mark.parametrize("cap", [1, 2, 5, 26, 27, 100, 255, 256])
-def test_closure_cap_stops_where_the_pairwise_oracle_does(cap):
+def test_closure_cap_stops_where_the_pairwise_oracle_does(monkeypatch, cap):
+    monkeypatch.setenv("MONO_CAP", str(cap))
     for degree, gens, order in ((3, T3_GENS, 27), (4, T4_GENS, 256)):
-        got = closure_outcome(generate_from_transformations, degree, gens, cap)
-        assert got == closure_outcome(generate_pairwise, degree, gens, cap)
+        got = closure_outcome(generate_from_transformations, degree, gens)
+        assert got == closure_outcome(generate_pairwise, degree, gens)
         if cap < order:
             assert got == (
                 f"transformation closure exceeded cap of {cap} elements", cap)
@@ -832,10 +810,10 @@ def test_ideal_closures_match_the_old_loops(oracle_monoids):
             assert got == outcome(is_idempotent_ideal_by_product, M, S)
             verdicts.add(got)
             mapping = dict(zip("abc", S))
-            assert generator_map(M, mapping) == generator_map_bfs(M, mapping)
+            assert generator_map(M, mapping) == generator_map_bfs(M, mapping)[0]
         for mapping in ({}, {"a": -1}, {"a": M.order}, {"": 0}):
             assert (outcome(generator_map, M, mapping)
-                    == outcome(generator_map_bfs, M, mapping))
+                    == outcome(lambda *args: generator_map_bfs(*args)[0], M, mapping))
     assert True in verdicts and False in verdicts
 
 
@@ -907,9 +885,30 @@ def test_ideal_product_shadow_matches_the_ideal_product_fold(oracle_monoids):
     assert verdicts == {"holds", "violated"}
 
 
-def test_generator_map_records_generated_submonoid():
+def test_generator_map_records_letters_and_images():
+    # the map the oracle builds beside the submonoid the letters generate
     M = z3()
-    assert generator_map(M, {"a": 1}).generated == (0, 1, 2)
-    assert generator_map(M, {"a": 0}).generated == (0,)
+    assert generator_map_bfs(M, {"a": 1}) == (generator_map(M, {"a": 1}), (0, 1, 2))
+    assert generator_map_bfs(M, {"a": 0}) == (generator_map(M, {"a": 0}), (0,))
+    assert generator_map(M, {"a": 1, "b": 0}) == GeneratorMap(("a", "b"), (1, 0))
     with pytest.raises(InputError):
         generator_map(M, {"a": 7})
+
+
+def test_generator_map_runs_no_closure(monkeypatch):
+    # generator_map only checks and records its letters; cut and replay
+    # close nothing else either, once replay's ideal membership test runs
+    # on the brute-force oracle
+    M = flipflop()
+    u, ws = ("ab", "ab"), ("a", "bab")
+    expected = replay_factorization(M, generator_map(M, {"a": 1, "b": 2}), 2, u, ws)
+
+    def no_closure(*args, **kwargs):
+        raise AssertionError("_reach called")
+
+    monkeypatch.setattr(monoidkit.monoid, "_reach", no_closure)
+    monkeypatch.setattr(monoidkit.shadows, "ideal_generated", ideal_generated_brute)
+    g = generator_map(M, {"a": 1, "b": 2})
+    assert g == GeneratorMap(("a", "b"), (1, 2))
+    assert cut(M, g, "abab", 3) == cut_brute(M, g, "abab", 3)
+    assert replay_factorization(M, g, 2, u, ws) == expected

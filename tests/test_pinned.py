@@ -89,6 +89,11 @@ ROWS = [
     row("cut-FF-n30", ["cut", "fixtures/flipflop.mon", "-n", "30", "--map", "a=s,b=r",
                        "ab" * 150], 2, timeout=10, mem_kb=200000,
         err="error: cut profile of 102945566047324 tuples exceeds cap of 100000"),
+    # the count past the cap at an arity of 3000 digits: one big-integer
+    # step per sequence length, not a fresh binomial for each
+    row("cut-FF-n3000digits", ["cut", "fixtures/flipflop.mon", "-n", N3000, "--map",
+                               "a=s,b=r", "ab" * 150], 2, timeout=20,
+        err="error: cut profile of more than 10^899385 tuples exceeds cap of 100000"),
     row("from-tgen-huge", ["from-tgen", "{tmp}/huge.tgen"], 2, timeout=10),
     row("shadow-Z2-5000digits", ["shadow", "fixtures/Z2.mon", "--map", "a=g", "--alphas",
                                  "a^" + "9" * 5000, "--ideals", "a"], 2, timeout=10),
