@@ -7,7 +7,6 @@ allowed everywhere and evaluate to the identity.
 from __future__ import annotations
 
 from itertools import accumulate, combinations, combinations_with_replacement, zip_longest
-from math import comb
 from operator import itemgetter
 
 from .monoid import (CapExceeded, FiniteMonoid, GeneratorMap, InputError, Record,
@@ -76,10 +75,19 @@ def _squeeze(M: FiniteMonoid, p: CutProfile) -> set[tuple[int, ...]]:
     return {tuple(x for x in t if x != M.identity) for t in p.tuples}
 
 
-def _check_profile_size(size: int) -> None:
+def _check_profile_size(n: int, counts: Iterable[int]) -> int:
+    """How many n-tuples sequences spread into, counts[k] of them of k
+    parts: C(n, k) each.  C(n, k) is stepped from C(n, k - 1), one product
+    and one exact division each, since n may be huge.  CapExceeded past
+    MAX_PROFILE_TUPLES."""
+    size, c = 0, 1
+    for k, m in enumerate(counts):
+        size += c * m
+        c = c * (n - k) // (k + 1)
     if size > MAX_PROFILE_TUPLES:
         raise CapExceeded(f"cut profile of {_decimal(size)} tuples exceeds cap of "
                           f"{MAX_PROFILE_TUPLES}", size)
+    return size
 
 
 def _decimal(count: int) -> str:
@@ -99,34 +107,29 @@ def _spread(M: FiniteMonoid, n: int, seqs: Collection[tuple[int, ...]]) -> CutPr
     """Every placement of each sequence into n slots, identity elsewhere (a
     part of image 1 reads like an empty part, so this inverts _squeeze).
 
-    A placement of k parts is an itemgetter over the sequence with the
-    identity appended at index k; each k's getters are built once per call
-    and shared by all its sequences of k parts.  CapExceeded past
-    MAX_PROFILE_TUPLES tuples and then past MAX_PROFILE_ENTRIES entries, n
-    to a tuple, before any is built."""
-    lengths = [len(s) for s in seqs]    # one C(n, k) per length: n may be huge
-    size = sum(comb(n, k) * lengths.count(k) for k in set(lengths))
-    _check_profile_size(size)
+    The sequences are grouped by length, each with the identity appended at
+    index k for k parts, and the profile is sized from the group lengths.
+    A placement of k parts is an itemgetter over such a sequence, built once
+    and mapped over the whole group; a length without sequences builds
+    none.  CapExceeded past MAX_PROFILE_TUPLES tuples and then past
+    MAX_PROFILE_ENTRIES entries, n to a tuple, before any is built."""
+    pad = (M.identity,)
+    groups: list[list] = [[] for _ in range(max(map(len, seqs), default=0) + 1)]
+    for s in seqs:
+        groups[len(s)].append(s + pad)
+    size = _check_profile_size(n, map(len, groups))
     if size * n > MAX_PROFILE_ENTRIES:
         raise CapExceeded(f"cut profile of {size} tuples of {_decimal(n)} entries "
                           f"exceeds cap of {MAX_PROFILE_ENTRIES} entries", size * n)
-    pad = (M.identity,)
     if n == 1:  # itemgetter of one index returns an entry, not a tuple
         return CutProfile(1, tuple(sorted(s or pad for s in seqs)))
-    placements: dict[int, list] = {}
     tuples = []
-    for s in seqs:
-        k = len(s)
-        getters = placements.get(k)
-        if getters is None:
-            getters = placements[k] = []
-            for slots in combinations(range(n), k):
-                index = [k] * n
-                for i, j in enumerate(slots):
-                    index[j] = i
-                getters.append(itemgetter(*index))
-        padded = s + pad
-        tuples += [g(padded) for g in getters]
+    for k, group in enumerate(groups):
+        for slots in combinations(range(n), k) if group else ():
+            index = [k] * n
+            for i, j in enumerate(slots):
+                index[j] = i
+            tuples += map(itemgetter(*index), group)
     return CutProfile(n, tuple(sorted(tuples)))
 
 
@@ -284,27 +287,19 @@ class _SequenceDag:
             stack += [(p, len(path), c) for c, p in groups]
         return out
 
-    def tuple_count(self, a: int) -> int:
-        """How many n-tuples a's sequences spread into: C(n, k) each for
-        its sequences of k elements.  C(n, k) is stepped from C(n, k - 1),
-        one product and one exact division each, since n may be huge."""
-        n, total, c = self.n, 0, 1
-        for k, m in enumerate(self.counts[a]):
-            total += c * m
-            c = c * (n - k) // (k + 1)
-        return total
-
     def fold(self, g: GeneratorMap, w: str) -> int:
         """The node of w's non-identity part sequences: each letter of
         image x != 1 steps the set, from the set of the empty sequence.
         CapExceeded, before the node is returned, when they spread into
-        more than MAX_PROFILE_TUPLES tuples."""
+        more than MAX_PROFILE_TUPLES tuples: the node's counts are sized by
+        _check_profile_size, as _spread sizes a profile.  The entries cap
+        stays with _spread, since replay folds but never spreads."""
         s = self.node(True, ())
         for ch in w:
             x = g.image(ch)
             if x != self.identity:
                 s = self.step(s, x)
-        _check_profile_size(self.tuple_count(s))
+        _check_profile_size(self.n, self.counts[s])
         return s
 
 
@@ -314,7 +309,8 @@ def cut(M: FiniteMonoid, g: GeneratorMap, w: str, n: int) -> CutProfile:
     The set S of sequences is folded over w on a _SequenceDag made for this
     call, so a sub-set that comes back along the word is stepped once; a
     letter of image 1 leaves S as it is.  The fold counts the profile's
-    tuples on S's node, so a profile past the cap is never listed.
+    tuples on S's node, by the count _spread applies to the listed
+    sequences, so a profile past the cap is never listed.
     build_expansion keeps the set step _step instead: it spreads and
     stores every state it finds, so the DAG would save it nothing and its
     node table would slow it."""

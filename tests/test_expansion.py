@@ -1,7 +1,7 @@
 import os
 import random
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -374,6 +374,17 @@ def test_spread_matches_the_slot_loop(fx):
         for n in range(1, 4 if name == "b21" else 5):
             for q in build_expansion(M, g, n).sequences:
                 assert _spread(M, n, q) == spread_by_slots(M, n, q), (name, n)
+    # no sequence; every set at n = 1; lengths 0, 1 and 2 together at
+    # n = 40, and 0 and 2 without 1
+    M, _ = fx["flipflop"]     # identity 0
+    short = [(), (1,), (2,)]
+    sets = [[s for s, keep in zip(short, bits) if keep]
+            for bits in product((0, 1), repeat=len(short))]
+    pairs = list(product((1, 2), repeat=2))
+    cases = [(n, q) for q in sets for n in (1, 3)]
+    cases += [(40, short + pairs), (40, [(), *pairs[:2]])]
+    for n, q in cases:
+        assert _spread(M, n, q) == spread_by_slots(M, n, q), (n, q)
 
 
 def listed_backwards(M, g):

@@ -102,6 +102,15 @@ ROWS = [
     row("replay-Z2-a21", ["replay", "fixtures/Z2.mon", "-n", "11", "--map", "a=g,b=1",
                           "--u", "aaaa,aaaaa,a,aaaaaa,aaaaa",
                           "--w", "aaaaaaaaaaa,a,a,a,a,a,a,a,a,a,a"], timeout=10),
+    # 400 parts, 398 of them empty: replay folds both words and spreads
+    # neither, so the entries cap that stops `cut` on the same word and
+    # arity must not stop it
+    row("replay-Z2-n400", ["replay", "fixtures/Z2.mon", "-n", "400", "--map", "a=g",
+                           "--u", "aa", "--w", "a,a" + "," * 398], timeout=10,
+        out="69f63f803dcda5639a18020e2465469799dd9554e4a11a27eadee79dfbfe1819"),
+    row("cut-Z2-n400", ["cut", "fixtures/Z2.mon", "-n", "400", "--map", "a=g", "aa"], 2,
+        timeout=10, err="error: cut profile of 79801 tuples of 400 entries exceeds cap of "
+                        "10000000 entries"),
     # exponents of 4300 digits, the longest the term parser reads
     row("shadow-Z3-4300digits", ["shadow", "fixtures/Z3.mon", "--map", "a=g,b=g2",
                                  "--alphas", f"a^{K4300};(ab)^w",

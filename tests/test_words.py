@@ -285,9 +285,36 @@ def test_cut_cap_message_prints_every_count_str_can():
                         (10**4300 + 1, "more than 10^4300"),
                         (7 * 10**9000, "more than 10^9000")):
         with pytest.raises(CapExceeded) as exc:
-            monoidkit.words._check_profile_size(count)
+            monoidkit.words._check_profile_size(1, [count])
         assert exc.value.count == count
         assert str(exc.value) == f"cut profile of {text} tuples exceeds cap of 100000"
+
+
+def profile_size_by_comb(n, tally):
+    """The earlier count, kept as an oracle: math.comb(n, len(s)) summed
+    over the sequences s, tally[k] of them of k parts."""
+    return sum(math.comb(n, k) * m for k, m in enumerate(tally))
+
+
+def test_profile_size_matches_the_binomial_sum():
+    # seeded tallies below the cap, gaps and the empty tally among them;
+    # at an arity of 3000 digits only sequences of no part stay below it
+    rng = random.Random(int(os.environ.get("MONO_SEED", "0")))
+    cases = [(n, tally) for n in (1, 2, 40, HUGE_ARITY)
+             for tally in ((), (0,), (1,), (1, 0, 3), (0, 0, 0, 2), (100_000,))]
+    for n in (1, 2, 40):
+        for _ in range(200):
+            cases.append((n, tuple(rng.choice((0, rng.randint(1, 40)))
+                                   for _ in range(rng.randint(0, 6)))))
+    cases += [(HUGE_ARITY, (rng.randint(0, 100_000),) + (0,) * rng.randint(0, 3))
+              for _ in range(20)]
+    checked = 0
+    for n, tally in cases:
+        size = profile_size_by_comb(n, tally)
+        if size <= monoidkit.words.MAX_PROFILE_TUPLES:
+            assert monoidkit.words._check_profile_size(n, tally) == size, (n, tally)
+            checked += 1
+    assert checked > 500
 
 
 def test_cut_counts_past_the_listing_at_a_huge_arity(fx, monkeypatch):
