@@ -48,8 +48,10 @@ OmegaTerm = Letter | Concat | Power | OmegaPower
 # one, so this stays far below the interpreter's recursion limit.
 MAX_TERM_DEPTH = 100
 
-# replay's factorization match costs O(n*L^2) for a word of length L in n
-# parts; this bound on n*L^2 keeps a replay to about a second
+# replay caps n*L^2 for a word of length L in n parts.  Its factorization
+# match takes at most n*L*(L+1) set steps, so this bounds it; a cap on
+# n*L*|M| low enough to keep a Z2 replay near a second would refuse inputs
+# this one admits, such as |M| = 1965 at L = 5000, n = 2
 MAX_REPLAY_WORK = 10**8
 
 

@@ -36,17 +36,6 @@ def word_image(M: FiniteMonoid, g: GeneratorMap, w: str) -> int:
     return _product(M, map(g.image, w))
 
 
-def _images_from(M: FiniteMonoid, imgs: Sequence[int], i: int) -> list[int]:
-    """row[k] = image of w[i:i+k] for k = 0..L-i, given w's letter images."""
-    t = M.table
-    acc = M.identity
-    row = [acc]
-    for x in imgs[i:]:
-        acc = t[acc][x]
-        row.append(acc)
-    return row
-
-
 class CutProfile(Record):
     """The set of n-tuples of part images over all n-part factorizations
     of some word.
@@ -326,33 +315,38 @@ def match_factorization(
     M: FiniteMonoid, g: GeneratorMap, w: str, targets: Sequence[int],
 ) -> tuple[str, ...] | None:
     """The factorization with the least cut vector whose part images equal
-    targets, or None when targets is not in the cut profile.  A backward
-    pass finds where each part may end so the rest still matches; taking
-    the least such end, part by part, gives the least cut vector."""
+    targets, or None when targets is not in the cut profile.  One backward
+    pass per part, last part first, marks where each part may start so the
+    rest still matches; read left to right, each part then ends at the
+    least start of the next part that gives it its image.  This costs
+    O(n*L*min(|M|, L+1)) time and O(n*L) bytes for L letters in n parts."""
     targets = tuple(targets)
     n = len(targets)
     if n < 1:
         raise InputError("need at least one target")
+    t = M.table
     imgs = [g.image(ch) for ch in w]
     L = len(w)
-    # ends[k]: where part k may end, parts k+1.. still matching, descending.
-    # The start positions j are scanned from L down with one row of images
-    # at a time, so memory is O(n * L) and not the (L+1)^2 of every slice's
-    # image; one part needs no backward pass.
-    ends = [[] for _ in range(n - 1)] + [[L]]
-    for j in range(L, -1, -1) if n > 1 else ():
-        row = _images_from(M, imgs, j)
-        for k in range(n - 1, 0, -1):
-            if any(row[e - j] == targets[k] for e in ends[k]):
-                ends[k - 1].append(j)
+    # starts[k][j]: w[j:] splits into parts k.. with images targets[k:].
+    # Pass k keeps one set, the images of w[j:j'] over the j' where part
+    # k+1 may start, stepped from j+1 to j by w[j]'s image on the left.
+    starts = [bytearray(L + 1) for _ in range(n + 1)]
+    starts[n][L] = 1
+    for k in range(n - 1, -1, -1):
+        images = set()
+        for j in range(L, -1, -1):
+            if j < L:
+                images = set(map(t[imgs[j]].__getitem__, images))
+            if starts[k + 1][j]:
+                images.add(M.identity)
+            starts[k][j] = targets[k] in images
+    if not starts[0][0]:
+        return None
     bounds = [0]
-    for k, t in enumerate(targets):
+    for target, ends in zip(targets, starts[1:]):
         j = bounds[-1]
-        row = _images_from(M, imgs, j)
-        e = next((e for e in reversed(ends[k]) if e >= j and row[e - j] == t), None)
-        if e is None:
-            return None
-        bounds.append(e)
+        prefix = accumulate(imgs[j:], lambda a, x: t[a][x], initial=M.identity)
+        bounds.append(next(e for e, a in enumerate(prefix, j) if a == target and ends[e]))
     return tuple(w[bounds[k]:bounds[k + 1]] for k in range(n))
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from monoidkit.expansion import profile_product
 from monoidkit.formats import _numeral
-from monoidkit.monoid import GeneratorMap, GreensData, InputError, _classify
+from monoidkit.monoid import FiniteMonoid, GeneratorMap, GreensData, InputError, _classify
 from monoidkit.shadows import (MAX_TERM_DEPTH, Concat, Letter, OmegaPower, OmegaTerm,
                                Power)
 from monoidkit.words import FactorWitness, _spread, _step
@@ -94,6 +94,24 @@ def check_factor_witness(us, vs, fw):
         ustart = sum(map(len, us[:i]))
         vstart = sum(map(len, vs[:j]))
         assert ustart + off == vstart
+
+
+def relabelled(M, rng):
+    """M with its elements renumbered by a random permutation that moves
+    the identity off index 0 (when there is another index), so the greedy
+    generators and the search order over the table change."""
+    n = M.order
+    perm = list(range(n))
+    rng.shuffle(perm)
+    if n > 1 and perm[M.identity] == 0:
+        other = rng.choice([x for x in range(n) if x != M.identity])
+        perm[M.identity], perm[other] = perm[other], perm[M.identity]
+    inv = sorted(range(n), key=perm.__getitem__)
+    names = tuple(M.names[x] for x in inv)
+    table = tuple(tuple(perm[M.table[x][y]] for y in inv) for x in inv)
+    R = FiniteMonoid(names, perm[M.identity], table)
+    R.validate()
+    return R
 
 
 def ideal_product(M, I, J):
@@ -405,3 +423,52 @@ def lemma_factor_by_spans(us: Sequence[str], vs: Sequence[str]) -> FactorWitness
     # f injective: it is a monotone bijection, and v_1 is a position-aligned
     # prefix of the first non-empty u part (which starts at 0)
     return FactorWitness(spans[0][0] + 1, 1, 0)
+
+
+def _images_from(M: FiniteMonoid, imgs: Sequence[int], i: int) -> list[int]:
+    """row[k] = image of w[i:i+k] for k = 0..L-i, given w's letter images."""
+    t = M.table
+    acc = M.identity
+    row = [acc]
+    for x in imgs[i:]:
+        acc = t[acc][x]
+        row.append(acc)
+    return row
+
+
+def match_factorization_by_rows(
+    M: FiniteMonoid, g: GeneratorMap, w: str, targets: Sequence[int],
+) -> tuple[str, ...] | None:
+    """words.match_factorization as it was before it kept one set of images
+    per backward pass, kept as an oracle: one row of segment images per
+    start position, O(n * L^2) time.
+
+    The factorization with the least cut vector whose part images equal
+    targets, or None when targets is not in the cut profile.  A backward
+    pass finds where each part may end so the rest still matches; taking
+    the least such end, part by part, gives the least cut vector."""
+    targets = tuple(targets)
+    n = len(targets)
+    if n < 1:
+        raise InputError("need at least one target")
+    imgs = [g.image(ch) for ch in w]
+    L = len(w)
+    # ends[k]: where part k may end, parts k+1.. still matching, descending.
+    # The start positions j are scanned from L down with one row of images
+    # at a time, so memory is O(n * L) and not the (L+1)^2 of every slice's
+    # image; one part needs no backward pass.
+    ends = [[] for _ in range(n - 1)] + [[L]]
+    for j in range(L, -1, -1) if n > 1 else ():
+        row = _images_from(M, imgs, j)
+        for k in range(n - 1, 0, -1):
+            if any(row[e - j] == targets[k] for e in ends[k]):
+                ends[k - 1].append(j)
+    bounds = [0]
+    for k, t in enumerate(targets):
+        j = bounds[-1]
+        row = _images_from(M, imgs, j)
+        e = next((e for e in reversed(ends[k]) if e >= j and row[e - j] == t), None)
+        if e is None:
+            return None
+        bounds.append(e)
+    return tuple(w[bounds[k]:bounds[k + 1]] for k in range(n))

@@ -26,7 +26,8 @@ from monoidkit.monoid import (DEFAULT_ELEMENT_CAP, FiniteMonoid, GreensData,
 from catalog import b21, catalog, fixtures, flipflop, n3, t2, trivial, z2, z3
 from helpers import (M52_GENS, T3_GENS, T4_GENS, frames_to_spare, generator_map_bfs,
                      greedy_generators_by_scan, greens_by_ideals, ideal_product,
-                     is_aperiodic_by_omega, omega_power_by_search, power_by_squaring)
+                     is_aperiodic_by_omega, omega_power_by_search, power_by_squaring,
+                     relabelled)
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -623,24 +624,6 @@ def test_greens_matches_subset_oracle(cat, fx):
     assert [M.order for M in monoids] == [256, 52, 160, 1, 5, 83, 157, 137]
     for M in monoids:
         assert greens(M) == greens_by_subsets(M)
-
-
-def relabelled(M, rng):
-    """M with its elements renumbered by a random permutation that moves
-    the identity off index 0 (when there is another index), so the greedy
-    generators and the search order over the table change."""
-    n = M.order
-    perm = list(range(n))
-    rng.shuffle(perm)
-    if n > 1 and perm[M.identity] == 0:
-        other = rng.choice([x for x in range(n) if x != M.identity])
-        perm[M.identity], perm[other] = perm[other], perm[M.identity]
-    inv = sorted(range(n), key=perm.__getitem__)
-    names = tuple(M.names[x] for x in inv)
-    table = tuple(tuple(perm[M.table[x][y]] for y in inv) for x in inv)
-    R = FiniteMonoid(names, perm[M.identity], table)
-    R.validate()
-    return R
 
 
 @pytest.fixture(scope="module")

@@ -464,6 +464,19 @@ def test_replay_word_length_cap():
     assert time.perf_counter() - t0 < 0.5
 
 
+def test_replay_at_the_word_length_cap_is_fast():
+    # the largest input under the cap: one backward pass per part keeps a
+    # set of at most |M| images, where a row per start position cost
+    # n*L^2 steps, 0.72 s on a 2-core x86-64 VM
+    M = z2()
+    g = generator_map(M, {"a": 1})
+    L = 7071
+    t0 = time.perf_counter()
+    r = replay_factorization(M, g, 2, ("a" * L,), ("a" * (L - 1), "a"))
+    assert time.perf_counter() - t0 < 0.3
+    assert r.parts == ("", "a" * L)
+
+
 def test_replay_profile_cap_names_the_first_word_past_it(monkeypatch):
     # replay compares the two folded nodes and spreads neither profile; a
     # profile past the cap raises cut's line, u's before w's

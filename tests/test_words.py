@@ -15,7 +15,8 @@ from monoidkit import (CapExceeded, CutProfile, FactorWitness, InputError,
                        generator_map, lemma_factor, match_factorization, word_image)
 from catalog import z2
 from helpers import (all_words, check_factor_witness, cut_by_step_fold,
-                     frames_to_spare, lemma_factor_by_spans, outcome,
+                     frames_to_spare, lemma_factor_by_spans,
+                     match_factorization_by_rows, outcome, relabelled,
                      word_profile)
 
 
@@ -505,6 +506,35 @@ def test_match_factorization_matches_brute_oracle(fx):
     assert found == {False, True}
 
 
+def test_match_factorization_matches_row_oracle(fx):
+    # words up to 40 letters in up to 6 parts, past the brute oracle's
+    # reach; 60% of the targets are a real factorization's images. Beside
+    # the fixtures: a letter of image 1, and B21 renumbered so that its
+    # identity is not 0. MONO_SEED pins the sample.
+    seed = int(os.environ.get("MONO_SEED", "0"))
+    rng = random.Random(seed)
+    Z, B = z2(), relabelled(fx["b21"][0], rng)
+    assert B.identity != 0
+    cases = {**fx, "z2 b=1": (Z, generator_map(Z, {"a": 1, "b": 0})),
+             "b21 relabelled": (B, generator_map(B, {"a": B.element("a"),
+                                                     "b": B.element("b")}))}
+    found = set()
+    for name, (M, g) in cases.items():
+        for _ in range(300):
+            w = "".join(rng.choices("ab", k=rng.randint(0, 40)))
+            n = rng.randint(1, 6)
+            if rng.random() < 0.6:
+                cuts = sorted(rng.choices(range(len(w) + 1), k=n - 1))
+                bounds = (0, *cuts, len(w))
+                t = tuple(word_image(M, g, w[bounds[k]:bounds[k + 1]]) for k in range(n))
+            else:
+                t = tuple(rng.randrange(M.order) for _ in range(n))
+            got = match_factorization(M, g, w, t)
+            assert got == match_factorization_by_rows(M, g, w, t), (seed, name, w, t)
+            found.add(got is None)
+    assert found == {False, True}
+
+
 def test_match_factorization_infeasible_does_not_hang():
     # 11 parts of odd length cannot make a^22; the enumeration tried all
     # C(32, 10) cut vectors, about 100 s on a 2-core machine
@@ -527,3 +557,18 @@ def test_match_factorization_memory_is_linear_in_the_word():
         tracemalloc.stop()
     assert got == ("a", "a" * 999)
     assert peak < 1_000_000
+
+
+def test_match_factorization_memory_over_many_parts():
+    # a set of images per part would take about 20 MB here; one pass keeps
+    # one set, so the peak is the flags and the parts (about 6 MB)
+    M = z2()
+    g = generator_map(M, {"a": 0})
+    tracemalloc.start()
+    try:
+        got = match_factorization(M, g, "a", (0,) * 65001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == ("",) * 65000 + ("a",)
+    assert peak < 10_000_000
