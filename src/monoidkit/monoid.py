@@ -13,7 +13,7 @@ from operator import attrgetter, itemgetter
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from collections.abc import Iterable, Mapping, Sequence
+    from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 DEFAULT_ELEMENT_CAP = 512
 
@@ -152,7 +152,7 @@ def _greedy_generators(t: Sequence[Sequence[int]]) -> list[int]:
             done = len(found)
             seeds = dict.fromkeys([x, *(t[p][x] for p in found)])
             found += [q for q in seeds if q not in reached]
-            reached.update(islice(_reach(t, found, gens, start=done), done, None))
+            reached.update(_reach(t, found, gens, start=done))
     return gens
 
 
@@ -297,21 +297,22 @@ class GeneratorMap(Record):
 
 
 def _reach(t: Sequence[Sequence[int]], found: list[int], right: Sequence[int],
-           left: Sequence[int] = (), start: int = 0) -> list[int]:
+           left: Sequence[int] = (), start: int = 0) -> Iterator[int]:
     """Extend found, a list of distinct elements, in place to its closure
-    under x*a for a in right and a*x for a in left, and return it.  The
+    under x*a for a in right and a*x for a in left, yielding each element
+    from found[start] on as it is visited, so a search can stop early.  The
     elements before found[start] are taken as already multiplied.  Each
     other element is multiplied by each of them once, O(|closure| *
     (|right| + |left|))."""
     seen = set(found)
     cols = [t[a] for a in left]
     for x in islice(found, start, None):  # also visits the elements appended below
+        yield x
         row = t[x]
         for q in [*map(row.__getitem__, right), *(c[x] for c in cols)]:
             if q not in seen:
                 seen.add(q)
                 found.append(q)
-    return found
 
 
 def generator_map(M: FiniteMonoid, mapping: Mapping[str, int]) -> GeneratorMap:

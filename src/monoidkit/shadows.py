@@ -13,7 +13,7 @@ import math
 
 from .formats import _numeral
 from .monoid import (CapExceeded, FiniteMonoid, GeneratorMap, InputError,
-                     Record, _cycle, _product, ideal_generated,
+                     Record, _cycle, _product, _reach, ideal_generated,
                      is_group_element)
 from .words import (FactorWitness, _SequenceDag, lemma_factor, match_factorization,
                     word_image)
@@ -296,5 +296,6 @@ def replay_factorization(
         assert word_image(M, g, v) == target
     vj = targets[fw.j - 1]
     ui = word_image(M, g, us[fw.i - 1])
-    membership = ui in set(ideal_generated(M, (vj,)))
+    # ui in M*vj*M: the closure of vj stops once it reaches ui
+    membership = ui in _reach(M.table, [vj], M._generators, M._generators)
     return ReplayResult(vs, fw, vj, ui, membership)

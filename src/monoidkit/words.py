@@ -143,20 +143,21 @@ class _SequenceDag:
     and for each last element c, ascending, the node of the set of p with
     p + (c,) in the set.  One table numbers the nodes, so equal sets are one
     integer and a child is numbered before its parent; node 0 is the empty
-    set.  Union, truncation and the letter step are memoized on node
-    numbers.  Each node carries counts[i], its number of sequences of
-    each length 0, 1, ..., built from its children's when it is made, so a
-    set's size is read before any sequence is listed.  A path is as long
-    as its sequence, up to n, so every walk keeps an explicit stack and
-    none recurses."""
+    set.  A node keeps only its height, the length of its longest sequence.
+    Union, truncation and the count of sequences by length are visits of
+    one memoized walk on node numbers (Bryant's apply), and the letter step
+    is memoized on them too.  A count is made only for a node that is
+    sized and the nodes below it.  A path is as long as its sequence, up to
+    n, so every walk keeps an explicit stack and none recurses."""
 
     def __init__(self, M: FiniteMonoid, n: int):
         self.table, self.identity, self.n = M.table, M.identity, n
         self.ids: dict[tuple, int] = {}
         self.nodes: list[tuple] = []
-        self.counts: list[tuple[int, ...]] = []     # sequences by length
+        self.heights: list[int] = []
         self.unions: dict[tuple[int, int], int] = {}
         self.truncs: dict[tuple[int, int], int] = {}
+        self.counts: dict[int, tuple[int, ...]] = {}    # sequences by length
         self.steps: dict[tuple[int, int], int] = {}
         self.node(False, ())
 
@@ -166,72 +167,78 @@ class _SequenceDag:
         if i is None:
             i = self.ids[key] = len(self.nodes)
             self.nodes.append(key)
-            counts = self.counts
-            counts.append((int(holds_empty), *map(sum, zip_longest(
-                *[counts[p] for _, p in groups], fillvalue=0))))
+            self.heights.append(max([self.heights[p] + 1 for _, p in groups], default=0))
         return i
 
-    def union(self, a: int, b: int) -> int:
-        if a == b or not b:
-            return a
-        if not a:
-            return b
-        nodes, memo = self.nodes, self.unions
-        top = (a, b) if a < b else (b, a)
+    @staticmethod
+    def _walk(memo: dict, top, visit):
+        """memo[top], filled in post-order: visit(key) either fills
+        memo[key] from its children's entries and returns no key, or
+        returns the children's keys that memo lacks, which are visited
+        first, and then key again."""
         stack = [top]
         while stack:
             key = stack[-1]
             if key in memo:
                 stack.pop()
-                continue
+            else:
+                stack += visit(key)
+        return memo[top]
+
+    def union(self, a: int, b: int) -> int:
+        if a == b or not (a and b):
+            return a or b
+        nodes, memo = self.nodes, self.unions
+
+        def visit(key):
             (empty_a, groups_a), (empty_b, groups_b) = nodes[key[0]], nodes[key[1]]
             merged = dict(groups_a)
-            todo = []
+            pairs = {}      # the last elements under which a and b differ
             for c, q in groups_b:
-                p = merged.get(c, q)
+                p = merged.setdefault(c, q)
                 if p != q:
-                    pair = (p, q) if p < q else (q, p)
-                    q = memo.get(pair)
-                    if q is None:
-                        todo.append(pair)
-                        continue
-                merged[c] = q
-            if todo:        # the children first; then this pair is revisited
-                stack += todo
-                continue
-            memo[key] = self.node(empty_a or empty_b, tuple(sorted(merged.items())))
-            stack.pop()
-        return memo[top]
+                    pairs[c] = (p, q) if p < q else (q, p)
+            todo = [pair for pair in pairs.values() if pair not in memo]
+            if not todo:
+                merged.update((c, memo[pair]) for c, pair in pairs.items())
+                memo[key] = self.node(empty_a or empty_b, tuple(sorted(merged.items())))
+            return todo
+
+        return self._walk(memo, (a, b) if a < b else (b, a), visit)
 
     def truncate(self, a: int, k: int) -> int:
         """The node of a's sequences of length <= k."""
-        counts, nodes, memo = self.counts, self.nodes, self.truncs
-        if len(counts[a]) <= k + 1:
+        nodes, heights, memo = self.nodes, self.heights, self.truncs
+        if heights[a] <= k:
             return a
-        stack = [(a, k)]
-        while stack:
-            key = stack[-1]
-            if key in memo:
-                stack.pop()
-                continue
+
+        def visit(key):
             b, j = key
             holds_empty, groups = nodes[b]
-            kept, todo = [], []
-            for c, p in groups if j else ():
-                if len(counts[p]) > j:
-                    r = memo.get((p, j - 1))
-                    if r is None:
-                        todo.append((p, j - 1))
-                        continue
-                    p = r
-                if p:
-                    kept.append((c, p))
-            if todo:
-                stack += todo
-                continue
-            memo[key] = self.node(holds_empty, tuple(kept))
-            stack.pop()
-        return memo[(a, k)]
+            groups = groups if j else ()
+            todo = [(p, j - 1) for _, p in groups
+                    if heights[p] >= j and (p, j - 1) not in memo]
+            if not todo:
+                kept = [(c, memo[p, j - 1] if heights[p] >= j else p) for c, p in groups]
+                memo[key] = self.node(holds_empty, tuple((c, p) for c, p in kept if p))
+            return todo
+
+        return self._walk(memo, (a, k), visit)
+
+    def count(self, a: int) -> tuple[int, ...]:
+        """a's number of sequences of each length 0, 1, ..., up to its
+        height; it counts the nodes below a that are not yet counted."""
+        nodes, memo = self.nodes, self.counts
+
+        def visit(b):
+            holds_empty, groups = nodes[b]
+            todo = [p for _, p in groups if p not in memo]
+            if not todo:
+                memo[b] = (int(holds_empty), *map(sum, zip_longest(
+                    *[memo[p] for _, p in groups], fillvalue=0)))
+            return todo
+
+        return self._walk(memo, a, visit)
 
     def step(self, a: int, x: int) -> int:
         """Append a letter of image x != 1 to every sequence of a: each
@@ -280,15 +287,16 @@ class _SequenceDag:
         """The node of w's non-identity part sequences: each letter of
         image x != 1 steps the set, from the set of the empty sequence.
         CapExceeded, before the node is returned, when they spread into
-        more than MAX_PROFILE_TUPLES tuples: the node's counts are sized by
-        _check_profile_size, as _spread sizes a profile.  The entries cap
-        stays with _spread, since replay folds but never spreads."""
+        more than MAX_PROFILE_TUPLES tuples: count(s), the node's sequences
+        by length, is sized by _check_profile_size, as _spread sizes a
+        profile, so only s and the nodes below it are counted.  The entries
+        cap stays with _spread, since replay folds but never spreads."""
         s = self.node(True, ())
         for ch in w:
             x = g.image(ch)
             if x != self.identity:
                 s = self.step(s, x)
-        _check_profile_size(self.n, self.counts[s])
+        _check_profile_size(self.n, self.count(s))
         return s
 
 

@@ -5,7 +5,8 @@ import pytest
 from monoidkit import (InputError, generate_from_transformations,
                        ideal_generated, is_ideal, is_idempotent_ideal,
                        is_prime_ideal, is_regular, minimal_ideal)
-from catalog import flipflop, n3, z2
+from monoidkit.monoid import _reach
+from catalog import b21, flipflop, n3, t2, z2
 from helpers import T4_GENS, ideal_product
 
 
@@ -16,6 +17,25 @@ def test_ideal_generated_examples():
     assert ideal_generated(Mn, [Mn.element("a")]) == (1, 2)
     Mf = flipflop()
     assert ideal_generated(Mf, [Mf.element("s")]) == (1, 2)
+
+
+def test_membership_search_stops_at_the_element_it_finds():
+    # y in M*x*M, read off _reach element by element, agrees with the
+    # ideal; a search that finds y has multiplied only the elements before it
+    for M in (z2(), n3(), flipflop(), t2(), b21()):
+        t, A = M.table, M._generators
+        for x in range(M.order):
+            ideal = ideal_generated(M, [x])
+            for y in range(M.order):
+                found = [x]
+                assert (y in _reach(t, found, A, A)) == (y in ideal), (M.names, x, y)
+                if y in ideal:
+                    before = found[:found.index(y)]
+                    made = {x, *(t[z][a] for z in before for a in A),
+                            *(t[a][z] for z in before for a in A)}
+                    assert set(found) <= made, (M.names, x, y)
+                else:
+                    assert sorted(found) == list(ideal), (M.names, x, y)
 
 
 def test_ideal_generated_needs_generators():

@@ -117,6 +117,23 @@ def test_cut_implementations_agree(cat):
                 assert cut(M, g, w, n) == cut_brute(M, g, w, n) == word_profile(M, g, w, n)
 
 
+def test_cut_agrees_with_its_oracles_off_identity_zero(cat):
+    # each catalog monoid renumbered so that its identity is not 0 (the
+    # trivial monoid has no other index), its letters mapped by name:
+    # the DAG must read the identity by value; MONO_SEED pins the renumbering
+    seed = int(os.environ.get("MONO_SEED", "0"))
+    rng = random.Random(seed)
+    for name, (M, g) in cat.items():
+        R = relabelled(M, rng)
+        assert R.identity != 0 or R.order == 1, name
+        h = generator_map(R, {ch: R.element(M.names[g.image(ch)]) for ch in g.alphabet})
+        for w in all_words("ab", 5):
+            for n in (1, 2, 3, 4):
+                expected = cut_brute(R, h, w, n)
+                assert cut(R, h, w, n) == expected, (seed, name, w, n)
+                assert cut_by_step_fold(R, h, w, n) == expected, (seed, name, w, n)
+
+
 def cut_padded(M, g, w, n):
     """The earlier cut, kept as an oracle: n-tuples padded with identities,
     where a letter multiplies into the last non-identity slot or starts
@@ -209,6 +226,26 @@ def test_cut_past_the_cap_stays_in_small_memory(fx):
     assert peak < 100_000_000
 
 
+def test_cut_of_a_long_path_counts_only_its_result():
+    # Z2's a^3000 at n = 3000 folds into a path of about 3000 nodes, each
+    # made by a union or a truncation; only the folded node and the nodes
+    # below it are counted, about 4.5 million entries in all, so the
+    # traced peak stays under 45 MB (38 MB on Python 3.11.7; 56 MB when
+    # every node made was counted)
+    M = z2()
+    g = generator_map(M, {"a": 1})
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded) as exc:
+            cut(M, g, "a" * 3000, 3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.count == 2**2999
+    assert str(exc.value) == f"cut profile of {2**2999} tuples exceeds cap of 100000"
+    assert peak < 45_000_000
+
+
 def test_cut_counts_the_profile_before_listing_it(fx, monkeypatch):
     # a billion sequences and the CI's 1800-letter B21 word at n = 12: the
     # cap is checked on the folded node, and no sequence is listed
@@ -226,18 +263,20 @@ def test_cut_counts_the_profile_before_listing_it(fx, monkeypatch):
 
 
 def test_node_counts_tally_the_sequences(fx):
-    # every node the folds make, the transient ones too: its counts are
-    # its sequences by length, up to its longest
+    # every node the folds make, the transient ones too, from the last
+    # made down, so a count walks below nodes not yet counted: count(a) is
+    # its sequences by length, up to its height, the length of its longest
     for name, (M, g) in fx.items():
         letters = "".join(sorted(g.alphabet))
         for n in range(1, 7):
             dag = monoidkit.words._SequenceDag(M, n)
             for w in all_words(letters, 8):
                 dag.fold(g, w)
-            for a, counts in enumerate(dag.counts):
-                tally = Counter(map(len, dag.sequences(a)))
-                expected = tuple(tally[k] for k in range(max(tally, default=0) + 1))
-                assert counts == expected, (name, n, a)
+            for a in reversed(range(len(dag.nodes))):
+                height, tally = dag.heights[a], Counter(map(len, dag.sequences(a)))
+                assert height == max(tally, default=0), (name, n, a)
+                expected = tuple(tally[k] for k in range(height + 1))
+                assert dag.count(a) == expected, (name, n, a)
 
 
 # an arity of 3000 digits: C(n, 2) has 6000, past the 4300 digits that
