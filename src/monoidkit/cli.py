@@ -22,8 +22,8 @@ from itertools import compress
 from types import SimpleNamespace
 
 from .expansion import ExpandedMonoid, build_expansion, check_eta_aperiodic
-from .formats import (dfa_to_transition_monoid, load_table, parse_dfa,
-                      parse_tgen, serialize_monoid)
+from .formats import (_mon_lines, dfa_to_transition_monoid, load_table,
+                      parse_dfa, parse_tgen)
 from .monoid import (CapExceeded, FiniteMonoid, GeneratorMap, InputError,
                      _regular_elements, generator_map, greens, ideal_generated,
                      is_aperiodic, is_idempotent_ideal, is_prime_ideal,
@@ -65,9 +65,11 @@ def _load(path: str) -> tuple[FiniteMonoid, dict[str, str]]:
     return load_table(text), fields
 
 
-def _write(path: str, text: str) -> None:
+def _write(path: str, lines) -> None:
+    """Write lines to the file at path through _emit, one at a time as they
+    come; OSError with _emit's text if the file fails."""
     with open(path, "w", encoding="utf-8") as f:
-        error = _emit(f, path, [text])
+        error = _emit(f, path, lines)
     if error is not None:
         raise OSError(error)
 
@@ -169,10 +171,10 @@ def _cmd_cut(args) -> tuple[dict[str, str], int]:
     return fields, 0
 
 
-def _expansion_sidecar(E: ExpandedMonoid) -> str:
-    return "".join(
-        f"P{i} eta={E.base.names[E.eta[i]]} rep={E.representatives[i]} "
-        f"profile={_profile(E.base, E.profile(i))}\n" for i in range(E.order))
+def _expansion_sidecar(E: ExpandedMonoid):
+    """The `.map` lines, one per profile, each spread as its line is drawn."""
+    return (f"P{i} eta={E.base.names[E.eta[i]]} rep={E.representatives[i]} "
+            f"profile={_profile(E.base, E.profile(i))}\n" for i in range(E.order))
 
 
 def _cmd_expand(args) -> tuple[dict[str, str], int]:
@@ -198,8 +200,11 @@ def _cmd_expand(args) -> tuple[dict[str, str], int]:
         fields["table"] = ";".join(
             f"P{i}:" + ",".join(map(E.names.__getitem__, row))
             for i, row in enumerate(E.table))
-    if args.out:
-        _write(args.out, serialize_monoid(E.as_monoid()))
+    if args.out is not None:
+        # the build spread every profile but the identity's: spread it now,
+        # so that its cap stops the run before either file is opened
+        E.profile(0)
+        _write(args.out, _mon_lines(E.as_monoid()))
         _write(args.out + ".map", _expansion_sidecar(E))
         fields["out"] = args.out
     return fields, 0 if aper else 1
@@ -285,8 +290,8 @@ def _from_report(M: FiniteMonoid, g: GeneratorMap, fields: dict[str, str],
     fields["order"] = str(M.order)
     fields["letter_images"] = ",".join(
         f"{a}:{M.names[x]}" for a, x in zip(g.alphabet, g.images))
-    if out:
-        _write(out, serialize_monoid(M))
+    if out is not None:
+        _write(out, _mon_lines(M))
         fields["out"] = out
     return fields, 0
 
@@ -495,10 +500,13 @@ def cli_dispatch(argv) -> int:
 def _emit(stream, name: str, lines) -> str | None:
     """Write lines to stream one at a time, escaped, then flush it: None
     once all of it is out, else the error text.  Every byte `mono` writes
-    leaves through here.
+    leaves through here: reports, help, `error:` lines and the files of
+    -o.
 
-    One line at a time, so a large field is not copied into a joined
-    report.  A None stream is a closed descriptor.  On a failure the
+    One line at a time, as lines yields them, so neither a report nor a
+    file is joined whole first: a `.mon` file is a row to a line, its
+    sidecar a profile to a line.  A `--table` or `profile=` field is still
+    one line.  A None stream is a closed descriptor.  On a failure the
     stream's descriptor is pointed at devnull, so that what is left in its
     buffer is dropped when it is flushed again, at close or when the
     interpreter exits, which would fail again and exit 120.  A stream with

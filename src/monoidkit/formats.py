@@ -80,16 +80,18 @@ def load_table(text: str) -> FiniteMonoid:
 
 def serialize_monoid(M: FiniteMonoid) -> str:
     """Canonical .mon text; load_table inverts it exactly."""
+    return "".join(_mon_lines(M))
+
+
+def _mon_lines(M: FiniteMonoid):
+    """The lines of serialize_monoid's text, each ending in a newline, one
+    table row at a time, so `-o` writes a table without joining it."""
     for nm in M.names:
         _check_name(nm)
-    lines = [
-        "elements: " + " ".join(M.names),
-        "identity: " + M.names[M.identity],
-        "table:",
-    ]
-    for row in M.table:
-        lines.append(" ".join(M.names[v] for v in row))
-    return "\n".join(lines) + "\n"
+    yield "elements: " + " ".join(M.names) + "\n"
+    yield "identity: " + M.names[M.identity] + "\n"
+    yield "table:\n"
+    yield from (" ".join(map(M.names.__getitem__, row)) + "\n" for row in M.table)
 
 
 def parse_tgen(text: str) -> tuple[FiniteMonoid, GeneratorMap]:

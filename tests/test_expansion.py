@@ -481,7 +481,7 @@ def test_tuple_cap_comes_before_the_profile_cap(monkeypatch, fx):
 
 def test_each_profile_is_spread_once(monkeypatch, cat):
     # the build spreads each profile it sorts, every one but the identity's;
-    # the sidecar spreads each once more, one line at a time, and keeps
+    # the sidecar spreads each once more, as its lines are drawn, and keeps
     # none; the first read of E.profiles spreads each once, a second none
     calls = []
 
@@ -495,7 +495,8 @@ def test_each_profile_is_spread_once(monkeypatch, cat):
         E = build_expansion(M, g, 3)
         assert len(calls) == E.order - 1, name
         calls.clear()
-        _expansion_sidecar(E)
+        for _ in _expansion_sidecar(E):
+            pass
         assert len(calls) == E.order and "profiles" not in vars(E), name
         calls.clear()
         profiles = E.profiles

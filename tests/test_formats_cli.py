@@ -424,6 +424,18 @@ def test_cli_written_files_escape_non_utf8_argv_bytes(tmp_path, capsys):
         assert (code, out, err) == (2, "", os_error_line(errno.ENOSPC))
 
 
+def test_cli_expand_cap_opens_no_file(tmp_path, capsys):
+    # the build spreads every profile but the identity's, whose one tuple of
+    # 20000000 entries passes the entries cap: it exits 2 before -o opens
+    # either file
+    code, out, err = run(["expand", FIXDIR / "trivial.mon", "-n", "20000000",
+                          "--gens", "a=1", "-o", tmp_path / "X"], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("error: cut profile of 1 tuples of 20000000 entries exceeds "
+                   "cap of 10000000 entries\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_expand_table_flag(capsys):
     code, out, _ = run(["expand", FIXDIR / "Z2.mon", "-n", "2", "--gens", "a=g",
                         "--table", "--format", "machine"], capsys)
@@ -765,6 +777,23 @@ def test_cli_memory_error_while_writing_the_report_exits_2(monkeypatch, capsys):
 
 def os_error_line(code):
     return f"error: [Errno {code}] {os.strerror(code)}\n"
+
+
+@pytest.mark.parametrize("path, line", [
+    # an empty path names no file: not a report that leaves out `out=`
+    ("", "error: [Errno 2] No such file or directory: ''\n"),
+    ("/dev/full", os_error_line(errno.ENOSPC)),
+], ids=["empty", "full"])
+def test_cli_out_that_cannot_be_written_exits_2(path, line):
+    # a child process, so that stderr is the whole of what it printed
+    if path and not os.path.exists(path):
+        pytest.skip(f"no {path}")
+    for argv in (["expand", "fixtures/flipflop.mon", "-n", "3", "--gens", "a=s,b=r"],
+                 ["from-tgen", "fixtures/flipflop.tgen"],
+                 ["from-dfa", "fixtures/swap.dfa"]):
+        proc = run_mono([*argv, "-o", path, "--format", "machine"])
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, b"", line.encode()), argv
 
 
 def test_cli_failed_stdout_exits_2(monkeypatch, capsys):

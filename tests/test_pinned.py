@@ -50,6 +50,14 @@ ROWS = [
     row("expand-FF6", ["expand", "fixtures/flipflop.mon", "-n", "6", "--gens",
                        "a=s,b=r"], timeout=60, mem_kb=160000,
         out="9f42704fd9832f666f37ddadbb7f1c865db743ad5bd0f5a2ba3f56f6318336ea"),
+    # -o writes the table a row to a line and the sidecar a profile to a
+    # line, so it fits under the plain build's bound
+    row("expand-FF6-o", ["expand", "fixtures/flipflop.mon", "-n", "6", "--gens",
+                         "a=s,b=r", "-o", "{tmp}/FF6.mon"], timeout=60, mem_kb=160000,
+        out="9f42704fd9832f666f37ddadbb7f1c865db743ad5bd0f5a2ba3f56f6318336ea",
+        files={"FF6.mon": "c00d76f5b200d1dc8d3b83e8e5c697f0f39a3f140226d4f4326df3aa73b3e27c",
+               "FF6.mon.map":
+               "c9eab2ecdbab15eb83c4e75163c42cc261c7962c550ab74122d86a963561cbac"}),
     row("expand-FF6-table-o", ["expand", "fixtures/flipflop.mon", "-n", "6", "--gens",
                                "a=s,b=r", "--table", "-o", "{tmp}/FF6.mon"], timeout=60,
         out="780bdc01efb4b52ef4be6d9a53fd3366c5838ca714f9ca513994c2915295b2fd",
